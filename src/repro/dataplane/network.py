@@ -15,9 +15,15 @@ Two delivery modes:
 
 * sequential (default): each injected packet runs to completion before the
   next — this must agree exactly with the OBS ``eval`` semantics, and the
-  property tests check that it does;
+  property tests check that it does.  :class:`_Lane`, the compiled
+  run-to-completion interpreter, runs it; the parallel engines of
+  :mod:`repro.dataplane.engine` run the same lane once per shard batch;
 * concurrent: hops of in-flight packets interleave round-robin, exposing
   the §2.1 transaction hazards that ``atomic()`` exists to prevent.
+
+Both modes make their routing decisions — the pause re-tag and the next
+hop — through the same two methods, :meth:`Network._pause_egress` and
+:meth:`Network._next_hop`.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from repro.lang.errors import DataPlaneError
 from repro.lang.packet import Packet
 from repro.lang.state import Store
 from repro.milp.results import RoutingPaths
+from repro.obs import postcards
 from repro.topology.graph import Topology
 
 MAX_HOPS = 1000
@@ -304,146 +311,16 @@ class Network:
             self._default_done.add(target)
         return self._default_next.get((source, target))
 
-    # -- packet walking -----------------------------------------------------------
+    # -- routing decisions (shared by the lane and the interleaved walk) ----
 
-    def inject(self, packet: Packet, port: int) -> list[DeliveryRecord]:
-        """Sequential mode: run one packet to completion."""
-        records = self._run(self._new_arrivals(packet, port))
-        self.deliveries.extend(records)
-        return records
+    def _pause_egress(self, u: int, v, var: str, switch: str) -> int:
+        """The egress a packet of flow ``(u, v)`` pausing on ``var`` at
+        ``switch`` continues toward (Appendix D).
 
-    def inject_many(self, packets_with_ports) -> list[list[DeliveryRecord]]:
-        """Batched sequential mode: each packet runs to completion in order.
-
-        Semantically identical to calling :meth:`inject` per packet, but
-        amortizes per-call overhead for replay workloads; returns one
-        record list per injected packet.
+        ``v`` itself while its installed path still reaches ``var``'s
+        owner from here; otherwise a re-tag to a candidate egress whose
+        flow needs ``var`` and whose path covers ``switch``.
         """
-        results: list[list[DeliveryRecord]] = []
-        run = self._run
-        arrivals = self._new_arrivals
-        deliveries = self.deliveries
-        for packet, port in packets_with_ports:
-            records = run(arrivals(packet, port))
-            deliveries.extend(records)
-            results.append(records)
-        return results
-
-    def inject_concurrent(self, packets_with_ports, scheduler=None) -> list[DeliveryRecord]:
-        """Concurrent mode: all packets in flight, hops interleaved.
-
-        ``scheduler(pending)`` picks which pending hop advances next (index
-        into the list); the default is FIFO.  Adversarial schedulers model
-        in-flight packet reordering — the hazard §2.1's transactions exist
-        to contain.
-        """
-        queue: deque = deque()
-        for packet, port in packets_with_ports:
-            queue.extend(self._new_arrivals(packet, port))
-        records = self._run(queue, interleave=True, scheduler=scheduler)
-        self.deliveries.extend(records)
-        return records
-
-    def _new_arrivals(self, packet: Packet, port: int):
-        switch = self.topology.port_switch(port)
-        tagged = add_header(packet, port)
-        return deque([(tagged, switch, 0)])
-
-    def _run(
-        self,
-        queue: deque,
-        interleave: bool = False,
-        scheduler=None,
-        links=None,
-        recorder=None,
-    ) -> list[DeliveryRecord]:
-        """Drain the arrival queue; the generic (uncompiled) packet walk.
-
-        ``links`` redirects the per-link packet counters into a caller-
-        owned dict (thread lanes keep counts lane-local and merge once,
-        instead of racing on ``self.link_packets``); ``recorder`` is a
-        :class:`repro.obs.postcards.PostcardRecorder` for sampled
-        packets — when present, switch programs run through
-        ``process_traced`` (identical opcode effects, plus events).
-        """
-        records = []
-        step = self._step
-        if links is not None or recorder is not None:
-            step = lambda packet, switch, hops: self._step(  # noqa: E731
-                packet, switch, hops, links=links, recorder=recorder
-            )
-        while queue:
-            if scheduler is not None:
-                # The deque is handed to the scheduler directly (it only
-                # needs len() and indexing); copying it to a list every
-                # hop made adversarial-scheduler soaks quadratic.
-                index = scheduler(queue)
-                packet, switch, hops = queue[index]
-                del queue[index]
-            elif interleave:
-                packet, switch, hops = queue.popleft()
-            else:
-                packet, switch, hops = queue.pop()
-            if hops > MAX_HOPS:
-                raise DataPlaneError("packet exceeded hop limit (routing loop?)")
-            items = step(packet, switch, hops)
-            in_flight = []
-            for item in items:
-                if type(item) is DeliveryRecord:
-                    records.append(item)
-                else:
-                    in_flight.append(item)
-            if interleave or scheduler is not None:
-                queue.extend(in_flight)
-            else:
-                # Sequential mode pops from the right: push copies in
-                # reverse so they run depth-first in the order the switch
-                # emitted them, matching the OBS evaluation order.
-                queue.extend(reversed(in_flight))
-        return records
-
-    def _step(
-        self, packet: Packet, switch: str, hops: int, links=None, recorder=None
-    ) -> list:
-        """Process-or-forward one packet at one switch.
-
-        Returns a list of :class:`DeliveryRecord` (done) and
-        ``(packet, next_switch, hops)`` tuples (still in flight) — one item
-        per packet copy.
-        """
-        tag = packet.get(SNAP_NODE)
-        program = self.switches[switch]
-        if tag != DONE_TAG and program.can_process(tag):
-            handle = self._handle_outcome
-            outcomes = (
-                program.process(packet)
-                if recorder is None
-                else program.process_traced(packet, recorder)
-            )
-            return [
-                handle(outcome, switch, hops, links=links, recorder=recorder)
-                for outcome in outcomes
-            ]
-        return [self._forward(packet, switch, hops, links, recorder)]
-
-    def _handle_outcome(
-        self, outcome, switch: str, hops: int, links=None, recorder=None
-    ):
-        packet = outcome.packet
-        u = packet.get(SNAP_INPORT)
-        kind = outcome.kind
-        if kind == "drop":
-            return DeliveryRecord(packet, None, hops)
-        if kind == "emit":
-            egress = packet.get("outport")
-            if egress is None or egress not in self.topology.ports:
-                return DeliveryRecord(packet, None, hops)
-            packet = packet.modify_many({SNAP_OUTPORT: egress, SNAP_NODE: DONE_TAG})
-            return self._forward(packet, switch, hops, links, recorder)
-        # pause: ensure the tagged egress candidate can reach the variable.
-        var = outcome.var
-        v = packet.get(SNAP_OUTPORT)
-        needs_retag = True
         if v is not None:
             pos = self._path_pos.get((u, v))
             if (
@@ -453,27 +330,17 @@ class Network:
             ):
                 owner = self.placement[var]
                 if owner in pos and pos[owner] >= pos[switch]:
-                    needs_retag = False
-        if needs_retag:
-            candidate = self._candidate_egress(u, var, switch)
-            if candidate is None:
-                raise DataPlaneError(
-                    f"no candidate egress for flow from port {u} pausing on "
-                    f"{var!r} at {switch}"
-                )
-            packet = packet.modify(SNAP_OUTPORT, candidate)
-        return self._forward(packet, switch, hops, links, recorder)
+                    return v
+        candidate = self._candidate_egress(u, var, switch)
+        if candidate is None:
+            raise DataPlaneError(
+                f"no candidate egress for flow from port {u} pausing on "
+                f"{var!r} at {switch}"
+            )
+        return candidate
 
-    def _forward(
-        self, packet: Packet, switch: str, hops: int, links=None, recorder=None
-    ):
-        fields = packet._fields
-        u = fields.get(SNAP_INPORT)
-        v = fields.get(SNAP_OUTPORT)
-        if v is None:
-            raise DataPlaneError(f"packet at {switch} has no egress tag")
-        if switch == self.topology.port_switch(v) and fields.get(SNAP_NODE) == DONE_TAG:
-            return DeliveryRecord(strip_header(packet), v, hops)
+    def _next_hop(self, switch: str, u: int, v: int, tag: int) -> str:
+        """The switch after ``switch`` for a ``(u, v)`` packet tagged ``tag``."""
         nxt = self.rules.next_hop(switch, u, v)
         if nxt is None:
             # Re-tagged packets may join the (u, v) path midway; recover by
@@ -481,18 +348,129 @@ class Network:
             chain = self._path_next.get((u, v))
             if chain is not None:
                 nxt = chain.get(switch)
-        if nxt is None and fields.get(SNAP_NODE) == DONE_TAG:
+        if nxt is None and tag == DONE_TAG:
             # Processing finished: any route to the egress works.
             nxt = self._default_next_hop(switch, self.topology.port_switch(v))
         if nxt is None:
             raise DataPlaneError(
-                f"no route at {switch} for flow ({u}, {v}) "
-                f"(tag={packet.get(SNAP_NODE)})"
+                f"no route at {switch} for flow ({u}, {v}) (tag={tag})"
             )
-        counters = self.link_packets if links is None else links
+        return nxt
+
+    # -- packet walking -----------------------------------------------------------
+
+    def inject(self, packet: Packet, port: int) -> list[DeliveryRecord]:
+        """Sequential mode: run one packet to completion."""
+        return self.inject_many(((packet, port),))[0]
+
+    def inject_many(self, packets_with_ports) -> list[list[DeliveryRecord]]:
+        """Sequential mode: each packet runs to completion, in order.
+
+        One compiled lane over every port, with no shard planning;
+        returns one record list per injected packet.  If a packet raises,
+        the packets before it stay recorded (deliveries and link
+        counters, plus the hops the failing packet already took) and the
+        exception propagates unwrapped.
+        """
+        lane = _Lane(self, None, [
+            (index, packet, port)
+            for index, (packet, port) in enumerate(packets_with_ports)
+        ])
+        try:
+            lane.run()
+        finally:
+            link_packets = self.link_packets
+            for link, count in lane.link_counts().items():
+                link_packets[link] = link_packets.get(link, 0) + count
+            deliveries = self.deliveries
+            for records in lane.results.values():
+                deliveries.extend(records)
+        return list(lane.results.values())
+
+    def inject_concurrent(self, packets_with_ports, scheduler=None) -> list[DeliveryRecord]:
+        """Concurrent mode: all packets in flight, hops interleaved.
+
+        ``scheduler(pending)`` picks which pending hop advances next (index
+        into the list); the default is FIFO.  Adversarial schedulers model
+        in-flight packet reordering — the hazard §2.1's transactions exist
+        to contain.
+        """
+        queue: deque = deque(
+            (add_header(packet, port), self.topology.port_switch(port), 0)
+            for packet, port in packets_with_ports
+        )
+        records = self._run(queue, scheduler)
+        self.deliveries.extend(records)
+        return records
+
+    def _run(self, queue: deque, scheduler=None) -> list[DeliveryRecord]:
+        """Drain the arrival queue one hop at a time, hops of different
+        packets interleaved (the §2.1 transaction model)."""
+        records = []
+        while queue:
+            if scheduler is not None:
+                # The deque is handed to the scheduler directly (it only
+                # needs len() and indexing); copying it to a list every
+                # hop made adversarial-scheduler soaks quadratic.
+                index = scheduler(queue)
+                packet, switch, hops = queue[index]
+                del queue[index]
+            else:
+                packet, switch, hops = queue.popleft()
+            if hops > MAX_HOPS:
+                raise DataPlaneError("packet exceeded hop limit (routing loop?)")
+            for item in self._step(packet, switch, hops):
+                if type(item) is DeliveryRecord:
+                    records.append(item)
+                else:
+                    queue.append(item)
+        return records
+
+    def _step(self, packet: Packet, switch: str, hops: int) -> list:
+        """Process-or-forward one packet at one switch.
+
+        Returns a list of :class:`DeliveryRecord` (done) and
+        ``(packet, next_switch, hops)`` tuples (still in flight) — one item
+        per packet copy.
+        """
+        tag = packet.get(SNAP_NODE)
+        program = self.switches[switch]
+        if tag != DONE_TAG and program.can_process(tag):
+            return [
+                self._handle_outcome(outcome, switch, hops)
+                for outcome in program.process(packet)
+            ]
+        return [self._forward(packet, switch, hops)]
+
+    def _handle_outcome(self, outcome, switch: str, hops: int):
+        packet = outcome.packet
+        kind = outcome.kind
+        if kind == "drop":
+            return DeliveryRecord(packet, None, hops)
+        if kind == "emit":
+            egress = packet.get("outport")
+            if egress is None or egress not in self.topology.ports:
+                return DeliveryRecord(packet, None, hops)
+            packet = packet.modify_many({SNAP_OUTPORT: egress, SNAP_NODE: DONE_TAG})
+            return self._forward(packet, switch, hops)
+        v = packet.get(SNAP_OUTPORT)
+        egress = self._pause_egress(packet.get(SNAP_INPORT), v, outcome.var, switch)
+        if egress != v:
+            packet = packet.modify(SNAP_OUTPORT, egress)
+        return self._forward(packet, switch, hops)
+
+    def _forward(self, packet: Packet, switch: str, hops: int):
+        fields = packet._fields
+        u = fields.get(SNAP_INPORT)
+        v = fields.get(SNAP_OUTPORT)
+        if v is None:
+            raise DataPlaneError(f"packet at {switch} has no egress tag")
+        tag = fields.get(SNAP_NODE)
+        if tag == DONE_TAG and switch == self.topology.port_switch(v):
+            return DeliveryRecord(strip_header(packet), v, hops)
+        nxt = self._next_hop(switch, u, v, tag)
+        counters = self.link_packets
         counters[(switch, nxt)] = counters.get((switch, nxt), 0) + 1
-        if recorder is not None:
-            recorder.hop(switch, nxt)
         return (packet, nxt, hops + 1)
 
     # -- reporting -------------------------------------------------------------
@@ -507,6 +485,234 @@ class Network:
             f"Network({self.topology.name}, switches={len(self.switches)}, "
             f"rules={self.rules.total_rules()})"
         )
+
+
+# -- the run-to-completion interpreter ----------------------------------------
+
+
+def _delivered(fields: dict, egress: int, hops: int) -> DeliveryRecord:
+    """The delivery of a finished packet, SNAP header stripped."""
+    stripped = dict(fields)
+    del stripped[SNAP_INPORT]
+    stripped.pop(SNAP_OUTPORT, None)
+    del stripped[SNAP_NODE]
+    out = Packet.__new__(Packet)
+    out._fields = stripped
+    out._hash = None
+    return DeliveryRecord(out, egress, hops)
+
+
+class _Lane:
+    """The data plane's run-to-completion interpreter over one batch.
+
+    Sequential mode (:meth:`Network.inject_many`) runs every arrival
+    through one lane; the parallel engines run one lane per shard batch.
+    Each packet runs to completion in batch order, its copies depth-first
+    in the order the switch emitted them (the OBS evaluation order).
+    Forwarding hop chains are memoized as *segments* keyed by
+    ``(switch, inport, outport, tag)`` — one dict hit and one counter bump
+    per traversal — and expanded into per-link packet counts at the end.
+
+    Packets the postcard sampler picks (:mod:`repro.obs.postcards`) run
+    the same loop with a recorder: ``process_traced`` in place of
+    ``process`` (identical opcode effects) and one ``hop`` event per
+    segment link.
+    """
+
+    __slots__ = ("network", "shard", "batch", "results", "_segments",
+                 "_seg_counts")
+
+    def __init__(self, network: Network, shard, batch):
+        self.network = network
+        self.shard = shard
+        self.batch = batch  # [(global_index, packet, port)]
+        #: ``{global_index: [DeliveryRecord]}``, filled as packets finish.
+        self.results: dict = {}
+        self._segments: dict = {}  # (switch, u, v, tag) -> (stop, links)
+        self._seg_counts: dict = {}
+
+    def run(self):
+        """Returns ``({global_index: [DeliveryRecord]}, {link: count})``."""
+        results = self.results = {}
+        run_packet = self._run_packet
+        sampler = postcards.active_sampler()
+        for index, packet, port in self.batch:
+            if sampler is None or not sampler.should(index):
+                results[index] = run_packet(packet, port, None)
+            else:
+                recorder = postcards.PostcardRecorder(index, port)
+                results[index] = run_packet(packet, port, recorder)
+                recorder.finish(results[index])
+        return results, self.link_counts()
+
+    def link_counts(self) -> dict:
+        """``{link: packets}`` for every segment traversed so far."""
+        links: dict = {}
+        segments = self._segments
+        for key, count in self._seg_counts.items():
+            for link in segments[key][1]:
+                links[link] = links.get(link, 0) + count
+        return links
+
+    # -- per-packet interpreter -------------------------------------------
+
+    def _run_packet(self, packet: Packet, port: int, recorder) -> list:
+        net = self.network
+        ports = net.topology.ports
+        segment = self._segment
+        segments = self._segments
+        seg_counts = self._seg_counts
+        if recorder is None:
+            process = SwitchProgram.process
+        else:
+            def process(program, pkt, entry):
+                return program.process_traced(pkt, recorder, entry)
+        # Inlined add_header: one dict copy for tag + inport.
+        fields = dict(packet._fields)
+        fields["inport"] = port
+        fields[SNAP_INPORT] = port
+        fields[SNAP_NODE] = ROOT_TAG
+        tagged = Packet.__new__(Packet)
+        tagged._fields = fields
+        tagged._hash = None
+
+        switch = ports.get(port)
+        if switch is None:
+            switch = net.topology.port_switch(port)  # raises: unknown port
+        program = net.switches[switch]
+        entry = program.resolve_inport_entry(ROOT_TAG, tagged, port)
+
+        # Fast path: one outcome that emits to a valid egress — the
+        # overwhelmingly common case — needs no copy stack at all.
+        outcomes = process(program, tagged, entry)
+        if len(outcomes) == 1 and outcomes[0].kind == "emit":
+            fields = outcomes[0].packet._fields
+            egress = fields.get("outport")
+            if egress is not None and egress in ports:
+                hops = 0
+                if ports[egress] != switch:
+                    # An untraced memo hit is counted inline: a
+                    # _segment call per packet measurably slows this path.
+                    key = (switch, port, egress, DONE_TAG)
+                    seg = segments.get(key)
+                    if seg is None or recorder is not None:
+                        hops = segment(switch, port, egress, DONE_TAG, 0, recorder)[1]
+                    else:
+                        seg_counts[key] += 1
+                        hops = len(seg[1])
+                return [_delivered(fields, egress, hops)]
+
+        records: list = []
+        # Depth-first over packet copies, first-emitted first.  Stack
+        # items are resume tuples or DeliveryRecords; a record on the
+        # stack is an already-computed delivery whose forwarding hops a
+        # hop-by-hop walk would still be taking, so it surfaces in the
+        # same depth-first position.  ``outcomes`` (already produced
+        # above — processing is stateful, never rerun) seeds the loop.
+        stack: list = []
+        hops = 0
+        while True:
+            in_flight = None
+            for outcome in outcomes:
+                kind = outcome.kind
+                if kind == "emit":
+                    # A DONE packet is never processed again, so the
+                    # SNAP-header writes a hop-by-hop walk makes before
+                    # forwarding would be stripped unread at the egress:
+                    # deliver the stripped packet directly.
+                    fields = outcome.packet._fields
+                    egress = fields.get("outport")
+                    if egress is None or egress not in ports:
+                        records.append(
+                            DeliveryRecord(outcome.packet, None, hops)
+                        )
+                        continue
+                    if ports[egress] == switch:
+                        # Delivered at this switch: surfaces before any
+                        # queued copy.
+                        records.append(_delivered(fields, egress, hops))
+                        continue
+                    total = segment(
+                        switch, fields.get(SNAP_INPORT), egress, DONE_TAG,
+                        hops, recorder,
+                    )[1]
+                    resume = _delivered(fields, egress, total)
+                elif kind == "drop":
+                    records.append(DeliveryRecord(outcome.packet, None, hops))
+                    continue
+                else:
+                    resume = self._handle_pause(outcome, switch, hops, recorder)
+                if in_flight is None:
+                    in_flight = [resume]
+                else:
+                    in_flight.append(resume)
+            if in_flight is not None:
+                stack.extend(reversed(in_flight))
+            while stack and type(stack[-1]) is DeliveryRecord:
+                records.append(stack.pop())
+            if not stack:
+                return records
+            program, pkt, entry, hops = stack.pop()
+            switch = program.switch
+            outcomes = process(program, pkt, entry)
+
+    def _handle_pause(self, outcome, switch: str, hops: int, recorder):
+        """A pause outcome -> the next processing stop, as a resume tuple
+        ``(program, packet, entry, hops)``."""
+        pkt = outcome.packet
+        net = self.network
+        fields = pkt._fields
+        u = fields.get(SNAP_INPORT)
+        v = fields.get(SNAP_OUTPORT)
+        egress = net._pause_egress(u, v, outcome.var, switch)
+        if egress != v:
+            pkt = pkt.modify(SNAP_OUTPORT, egress)
+        tag = fields.get(SNAP_NODE)
+        stop, hops = self._segment(switch, u, egress, tag, hops, recorder)
+        program = net.switches[stop]
+        return (program, pkt, program.entries[tag], hops)
+
+    def _segment(self, switch: str, u: int, v: int, tag: int, hops: int,
+                 recorder):
+        """Take the memoized segment from ``switch``; returns the stop
+        switch and the packet's hop count there."""
+        key = (switch, u, v, tag)
+        seg = self._segments.get(key)
+        if seg is None:
+            seg = self._segments[key] = self._walk(switch, u, v, tag)
+        self._seg_counts[key] = self._seg_counts.get(key, 0) + 1
+        links = seg[1]
+        if recorder is not None:
+            for link in links:
+                recorder.hop(*link)
+        hops += len(links)
+        if hops > MAX_HOPS:
+            raise DataPlaneError("packet exceeded hop limit (routing loop?)")
+        return seg[0], hops
+
+    def _walk(self, switch: str, u: int, v: int, tag: int):
+        """Follow :meth:`Network._next_hop` until the packet reaches a
+        switch that can act on it (process the tag, or deliver a DONE
+        packet at its egress); returns ``(stop, links)``."""
+        net = self.network
+        switches = net.switches
+        done = tag == DONE_TAG
+        egress_switch = net.topology.port_switch(v)
+        links = []
+        current = switch
+        while True:
+            nxt = net._next_hop(current, u, v, tag)
+            links.append((current, nxt))
+            if len(links) > MAX_HOPS:
+                raise DataPlaneError(
+                    "packet exceeded hop limit (routing loop?)"
+                )
+            current = nxt
+            if done:
+                if current == egress_switch:
+                    return current, tuple(links)
+            elif tag in switches[current].entries:
+                return current, tuple(links)
 
 
 # -- execution-spec serialization (worker processes and cluster daemons) ------

@@ -26,7 +26,7 @@ How each opcode vectorizes:
 
 ``PAUSE``, ``STWRITE``, and branches on state (``StateVarTest``) do not
 vectorize: rows whose resolved entry can reach one fall back to the
-scalar :class:`repro.dataplane.engine._Lane`, and if the fallback rows'
+scalar :class:`repro.dataplane.network._Lane`, and if the fallback rows'
 state footprint overlaps the vectorized rows' the whole batch runs
 scalar (deferred deltas may not be reordered around scalar state
 reads).  One exception, opt-in via ``VectorEngine(commute_fastpath=

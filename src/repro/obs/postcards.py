@@ -13,13 +13,14 @@ every == 0``), never random, for two reasons:
 * the same packets are sampled no matter which engine runs the trace or
   how it was sharded (batch entries carry their global index end to
   end, including across the cluster wire);
-* a sampled run is **byte-identical** to an unsampled one — the traced
-  path executes exactly the same lowered opcodes against the same state
-  (see :meth:`repro.dataplane.netasm.SwitchProgram.process_traced` and
-  the generic :meth:`repro.dataplane.network.Network._run` walk, which
-  the compiled lanes are property-tested equivalent to), so turning
-  postcards on can never change what the network does, only what it
-  remembers.
+* a sampled run is **byte-identical** to an unsampled one — sampled
+  packets stay in the same compiled lane
+  (:class:`repro.dataplane.network._Lane`), which only swaps
+  :meth:`~repro.dataplane.netasm.SwitchProgram.process` for
+  :meth:`~repro.dataplane.netasm.SwitchProgram.process_traced` (the same
+  lowered opcodes against the same state) and emits one ``hop`` event
+  per link its forwarding segments cross, so turning postcards on can
+  never change what the network does, only what it remembers.
 
 When no sampler is configured (the default), every hook is a single
 ``None`` check on a module global — the per-packet hot paths pay
@@ -90,8 +91,9 @@ def _jsonable(value):
 class PostcardRecorder:
     """Collects one sampled packet's events while it executes.
 
-    Handed to :meth:`Network._run` as ``recorder=``; the traced
-    interpreter and the forwarding loop call the event methods below.
+    The compiled lane (:class:`repro.dataplane.network._Lane`) creates
+    one per sampled packet: the traced interpreter and the lane's
+    forwarding segments call the event methods below.
     """
 
     __slots__ = ("index", "port", "events")
@@ -135,6 +137,10 @@ class PostcardRecorder:
 
     # -- finalization ------------------------------------------------------
 
+    def finish(self, records) -> None:
+        """Record the postcard, with the packet's delivery records."""
+        _record(self.to_dict(records))
+
     def to_dict(self, records) -> dict:
         deliveries = [
             {"egress": r.egress, "hops": r.hops} for r in records
@@ -162,25 +168,8 @@ def _record(card: dict) -> None:
     )
 
 
-def run_traced(network, packet, port: int, index: int, links=None) -> list:
-    """Run one sampled packet through the generic traced walk.
-
-    Returns exactly the delivery records the untraced path produces (the
-    compiled lanes are property-tested equivalent to this walk, and the
-    traced interpreter executes the identical opcode effects).  Link
-    counts go to ``links`` when given (thread lanes keep them local and
-    merge once) or to the network's own counters.
-    """
-    recorder = PostcardRecorder(index, port)
-    records = network._run(
-        network._new_arrivals(packet, port), links=links, recorder=recorder
-    )
-    _record(recorder.to_dict(records))
-    return records
-
-
 def record_summary(index: int, port: int, records, lane: str) -> None:
-    """A delivery-level postcard for lanes without a traced walk.
+    """A delivery-level postcard for lanes without a per-packet interpreter.
 
     The columnar tier executes whole batches as masked column ops — no
     per-packet interpreter to hang events on — so its sampled packets
@@ -189,7 +178,7 @@ def record_summary(index: int, port: int, records, lane: str) -> None:
     """
     card = PostcardRecorder(index, port)
     card.events.append({"ev": "lane", "kind": lane})
-    _record(card.to_dict(records))
+    card.finish(records)
 
 
 def postcards() -> list:

@@ -262,6 +262,29 @@ class TestLaneFailureContract:
         assert len(network.deliveries) == 2
         assert sum(network.link_packets.values()) > 0
 
+    def test_sequential_failure_raises_unwrapped_and_keeps_earlier_packets(self):
+        """The sequential engine has no lanes to name: the failing packet's
+        own exception surfaces unwrapped, and every packet before it
+        stays recorded."""
+        snapshot, _ = sharded_monitor()
+        network = snapshot.build_network()
+        corrupt_shard(network, 3)
+        with pytest.raises(SnapError, match="non-numeric value 'corrupt'") as info:
+            SequentialEngine().run(network, one_packet_per_port())
+        assert not isinstance(info.value, DataPlaneError)
+        reference = snapshot.build_network()
+        SequentialEngine().run(reference, one_packet_per_port()[:2])
+        assert record_view(network.deliveries) == record_view(
+            reference.deliveries
+        )
+        assert network.link_packets == reference.link_packets
+        store = network.global_store()
+        assert store.read("count@1", (1,)) == 1
+        assert store.read("count@2", (2,)) == 1
+        assert store.read("count@3", (3,)) == "corrupt"
+        for port in (4, 5, 6):
+            assert store.read(f"count@{port}", (port,)) == 0
+
     def test_thread_pool_failure_merges_completed_lanes(self):
         snapshot, _ = sharded_monitor()
         network = snapshot.build_network()

@@ -24,6 +24,7 @@ import pytest
 from repro import obs, workloads
 from repro.cluster import ClusterEngine
 from repro.dataplane.engine import (
+    ProcessPoolEngine,
     SequentialEngine,
     ShardedEngine,
     get_engine,
@@ -253,6 +254,18 @@ class TestPostcards:
     def test_process_pool_sampled_run_identical(self):
         assert_sampled_run_identical(lambda: get_engine("process"), count=30)
 
+    @pytest.mark.parametrize("make_engine", [SequentialEngine, ShardedEngine])
+    def test_every_crossed_link_is_a_hop_event(self, make_engine):
+        cards = assert_sampled_run_identical(make_engine, every=1)
+        network = _monitor_nets().build_network()
+        make_engine().run(network, list(
+            workloads.background_traffic(SUBNETS, count=60, seed=9)
+        ))
+        hops = sum(
+            event["ev"] == "hop" for card in cards for event in card["events"]
+        )
+        assert hops == sum(network.link_packets.values()) > 0
+
     def test_postcards_count_metric_tracks_ring(self):
         before = obs.REGISTRY.counter("snap_postcards_total").labels().value
         assert_sampled_run_identical(SequentialEngine, every=10, count=20)
@@ -276,6 +289,35 @@ class TestEngineTelemetry:
         ]
         assert len(lanes) == runs[-1]["attrs"]["lanes"]
         assert all(s["parent_id"] == runs[-1]["span_id"] for s in lanes)
+
+    def test_process_engine_inline_run_is_attributed_to_process(self):
+        snapshot, _ = sharded_monitor()
+        trace = list(workloads.background_traffic(SUBNETS, count=30, seed=3))
+        runs = obs.REGISTRY.counter("snap_engine_runs_total")
+        packets = obs.REGISTRY.counter("snap_engine_packets_total")
+        before = {
+            engine: (
+                runs.labels(engine=engine).value,
+                packets.labels(engine=engine).value,
+            )
+            for engine in ("process", "sharded")
+        }
+        engine = ProcessPoolEngine(max_workers=1)
+        try:
+            engine.run(snapshot.build_network(), trace)
+        finally:
+            engine.close()
+        spans = TRACER.spans("engine.run")
+        assert [s["attrs"]["engine"] for s in spans] == ["process"]
+        assert runs.labels(engine="process").value == before["process"][0] + 1
+        assert packets.labels(engine="process").value == (
+            before["process"][1] + len(trace)
+        )
+        assert (
+            runs.labels(engine="sharded").value,
+            packets.labels(engine="sharded").value,
+        ) == before["sharded"]
+        assert engine.last_run_stats["lanes"] == spans[0]["attrs"]["lanes"]
 
     def test_run_stats_reads_like_the_old_dict(self):
         stats = RunStats(lanes=4, parallelism=2, collapse_reasons={})

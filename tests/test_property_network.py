@@ -8,6 +8,8 @@ placement, routing, per-switch NetASM splitting, SNAP-header steering, and
 Appendix D's candidate-egress trick.
 """
 
+from collections import Counter
+
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, assume, given, settings
 
@@ -123,6 +125,9 @@ def test_distributed_execution_matches_obs_eval(body, arrivals):
         return
     defaults = {var: 0 for var in STATE_VARS}
     net = Network(topo, xfdd, solution.placement, routing, mapping, demands, defaults)
+    # The hop-by-hop walk behind inject_concurrent is an independent
+    # reference for the compiled lane's hop counts and link counters.
+    twin = Network(topo, xfdd, solution.placement, routing, mapping, demands, defaults)
 
     ref_store = Store(defaults)
     for packet, port in arrivals:
@@ -133,6 +138,10 @@ def test_distributed_execution_matches_obs_eval(body, arrivals):
             assume(False)
             return
         records = net.inject(packet, port)
+        hop_records = twin.inject_concurrent([(packet, port)])
+        assert Counter((r.egress, r.hops, r.packet) for r in records) == Counter(
+            (r.egress, r.hops, r.packet) for r in hop_records
+        )
         delivered = frozenset(
             record.packet.without("inport")
             for record in records
@@ -145,3 +154,5 @@ def test_distributed_execution_matches_obs_eval(body, arrivals):
             if record.egress is not None:
                 assert record.packet.get("outport") == record.egress
     assert net.global_store() == ref_store
+    assert net.link_packets == twin.link_packets
+    assert twin.global_store() == ref_store
