@@ -15,7 +15,9 @@ run ships is minimal by construction:
   per worker per rewire;
 * each job carries only the shard's batch plus the
   footprint-restricted state slice its packets can actually touch
-  (:func:`repro.dataplane.engine.batch_footprint`).
+  (:func:`repro.dataplane.engine.batch_footprint`); batches go out and
+  delivery records come back as lane-wire schema rows
+  (:func:`repro.dataplane.network.encode_batch`).
 
 The engine honors the PR 4 lane-failure contract end to end: a daemon
 that dies mid-run has its shard requeued onto a surviving worker
@@ -46,12 +48,14 @@ from repro.dataplane.engine import (
     _raise_lane_failure,
     _split_batches,
     batch_footprint,
-    plan_for,
+    make_lane,
     refresh_exec_keys,
     register_engine,
 )
 from repro.dataplane.network import (
     Network,
+    decode_records,
+    encode_batch,
     exec_network_spec,
     exec_program_spec,
 )
@@ -65,12 +69,14 @@ def _dumps(value) -> bytes:
     return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-class ClusterEngine:
+class ClusterEngine(ShardedEngine):
     """Per-shard parallel execution on socket-connected worker daemons.
 
     ``workers`` local daemons are spawned lazily on the first run that
     has more than one shard (one shard gains nothing from the wire — it
-    runs inline, exactly like the process engine's fallback), and/or
+    is the sharded engine's inline run on the calling thread, on the
+    same lane kind the daemons would run, reported under this engine's
+    name, exactly like the process engine's fallback), and/or
     pre-started daemons are attached via ``addresses``
     (``["host:port", ...]``).  The daemon set survives across runs and
     TE rewires; :meth:`restart` (the controller calls it on policy
@@ -79,7 +85,8 @@ class ClusterEngine:
 
     :attr:`last_run_stats` describes the previous run: live worker
     count, lanes, and the bytes that actually moved (program / network
-    spec bytes, per-job payload bytes) — the benchmark records these.
+    spec bytes, per-job payload bytes, and the lane-wire batch and
+    record bytes inside them) — the benchmark records these.
     """
 
     name = "cluster"
@@ -88,42 +95,40 @@ class ClusterEngine:
                  replicate_state: bool | None = None):
         if lane not in (None, "scalar", "vector", "vector-jit"):
             raise ClusterError(f"unknown lane kind {lane!r}")
+        # One thread: the inline fallback runs its single lane here.
+        # ``replicate_state=None`` defers to the network's
+        # ``replicate_state``; a boolean overrides it for this engine.
+        # Replica specs and update logs ride the wire protocol since v2.
+        super().__init__(max_workers=1, replicate_state=replicate_state)
         self.workers = workers
         self.addresses = tuple(addresses)
         #: Lane opt-in: "vector" / "vector-jit" asks every worker daemon
         #: to run its shard on the columnar tier (a worker without numpy
         #: silently runs the scalar lane — semantics are identical).
         self.lane = lane
-        #: State-compute replication: ``None`` defers to the network's
-        #: ``replicate_state``; a boolean overrides it for this engine.
-        #: Replica specs and update logs ride the v2 wire protocol.
-        self.replicate_state = replicate_state
         self._coordinator: ClusterCoordinator | None = None
         self._program_cache: tuple | None = None  # (program_key, bytes)
         self._network_cache: tuple | None = None  # (network_key, bytes)
-        self.last_run_stats: dict = {}
 
     # -- execution ---------------------------------------------------------
 
     def run(self, network: Network, arrivals) -> list:
         arrivals = list(arrivals)
-        with TRACER.span(
-            "engine.run", engine=self.name, packets=len(arrivals)
-        ) as run_span:
-            return self._run(network, arrivals, run_span)
-
-    def _run(self, network: Network, arrivals: list, run_span) -> list:
         rplan = self.replica_plan(network)
-        plan = rplan.plan
-        batches = _split_batches(plan, arrivals)
+        batches = _split_batches(rplan.plan, arrivals)
         if len(batches) <= 1:
-            # Zero or one lane: the wire buys no parallelism — run
-            # inline with identical semantics, spawn nothing.
-            self.last_run_stats = RunStats(
-                workers=0, lanes=len(batches), program_bytes=0,
-                network_bytes=0, payload_bytes=0, requeues=0,
-            )
-            return self._inline_engine().run(network, arrivals)
+            # Zero or one lane: the wire buys no parallelism — the
+            # sharded engine's inline run, spawning nothing.
+            return super().run(network, arrivals)
+        with TRACER.span(
+            "engine.run", engine=self.name, lanes=len(batches),
+            packets=len(arrivals),
+        ) as run_span:
+            return self._run(network, arrivals, rplan, batches, run_span)
+
+    def _run(self, network: Network, arrivals: list, rplan, batches,
+             run_span) -> list:
+        plan = rplan.plan
         refresh_exec_keys(network)
         program_key = network._exec_program_key
         network_key = network._exec_network_key
@@ -177,7 +182,6 @@ class ClusterEngine:
 
         replicate = bool(rplan.replicated)
         epoch = replication.next_epoch(network) if replicate else 0
-        run_span.set_attr("lanes", len(batches))
         sampler = postcards.active_sampler()
         telemetry = None
         if TRACER.enabled or sampler is not None:
@@ -188,11 +192,15 @@ class ClusterEngine:
                 "postcard_every": sampler.every if sampler else 0,
             }
         jobs = []
+        batch_bytes = 0
         for shard_index, batch in batches:
             shard = plan.shards[shard_index]
             variables = batch_footprint(plan, batch)
             lane_vars = replication.lane_replicas(rplan, batch) \
                 if replicate else {}
+            # v4 wire field: the batch as lane-wire schema rows.
+            batch_blob = encode_batch(batch)
+            batch_bytes += len(batch_blob)
             payload = {
                 "network_key": network_key,
                 "ports": tuple(shard.ports),
@@ -207,7 +215,7 @@ class ClusterEngine:
                     replication.wire_spec(lane_vars, epoch)
                     if lane_vars else None
                 ),
-                "batch": batch,
+                "batch": batch_blob,
                 "lane": self.lane,
                 "telemetry": telemetry,
             }
@@ -215,7 +223,7 @@ class ClusterEngine:
         results, errors = coordinator.run_jobs(jobs, ensure=ensure)
 
         outcomes = []
-        log_entries = 0
+        log_entries = record_bytes = 0
         for shard_index in sorted(results):
             payload = results[shard_index]
             network.merge_shard_state(payload["state"])
@@ -231,7 +239,10 @@ class ClusterEngine:
             if telemetry is not None:
                 TRACER.adopt(payload.get("spans"))
                 postcards.adopt(payload.get("postcards"))
-            outcomes.append((payload["records"], payload["links"]))
+            record_bytes += len(payload["records"])
+            outcomes.append(
+                (decode_records(payload["records"]), payload["links"])
+            )
         merged = _merge_lane_outcomes(
             network, outcomes, len(arrivals), complete=not errors
         )
@@ -246,6 +257,8 @@ class ClusterEngine:
             network_bytes=delta["network_bytes"],
             payload_bytes=delta["payload_bytes"],
             requeues=delta["requeues"],
+            batch_bytes=batch_bytes,
+            record_bytes=record_bytes,
             replicated_vars=sorted(rplan.replicated),
             replica_log_entries=log_entries,
         )
@@ -262,35 +275,9 @@ class ClusterEngine:
             _raise_lane_failure(plan, min(errors), errors[min(errors)])
         return merged
 
-    def _inline_engine(self) -> ShardedEngine:
-        """The ≤1-lane inline fallback, honoring the lane opt-in."""
-        if self.lane in ("vector", "vector-jit"):
-            try:
-                from repro.dataplane.vector import (
-                    VectorEngine,
-                    VectorJitEngine,
-                )
-
-                cls = VectorJitEngine if self.lane == "vector-jit" else (
-                    VectorEngine
-                )
-                return cls(
-                    max_workers=1, replicate_state=self.replicate_state
-                )
-            except Exception:  # numpy missing: scalar, same semantics
-                pass
-        return ShardedEngine(
-            max_workers=1, replicate_state=self.replicate_state
-        )
-
-    def plan_for(self, network: Network):
-        """The network's shard plan (cached, mutation-invalidated)."""
-        return plan_for(network)
-
-    def replica_plan(self, network: Network):
-        """The network's replica plan (cached; see
-        :func:`repro.dataplane.replication.replica_plan_for`)."""
-        return replication.replica_plan_for(network, self.replicate_state)
+    def _make_lane(self, network: Network, shard, batch):
+        """The inline fallback's lane: the kind the daemons run."""
+        return make_lane(self.lane, network, shard, batch)
 
     # -- spec and lifecycle ------------------------------------------------
 

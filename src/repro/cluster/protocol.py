@@ -50,7 +50,11 @@ Message vocabulary (``payload`` keys in parentheses):
                    and ``replica_log``: the per-variable update log
                    diffed against the shipped seed, ``None`` when no
                    replica spec was sent) or :data:`ERROR`
-                   (``missing="network"`` if the spec was evicted)
+                   (``missing="network"`` if the spec was evicted).
+                   Since v4, ``batch`` and ``records`` are lane-wire
+                   bytes (:func:`repro.dataplane.network.encode_batch`,
+                   :func:`repro.dataplane.network.encode_records`):
+                   schema rows, never pickled packet objects
 :data:`RUN_OBS`    evaluate one OBS mirror batch (``blob``) →
                    :data:`RESULT` (``state``, ``outputs``)
 :data:`CHAOS`      fault injection for tests (``mode``) → ``OK``
@@ -74,7 +78,10 @@ from repro.obs.metrics import counter
 #: ``postcard_every``: the packet-sampling stride) and RESULT returns
 #: the matching ``spans`` and ``postcards`` lists recorded while the
 #: shard ran (absent/None when no telemetry was sent).
-PROTOCOL_VERSION = 3
+#: v4: RUN_SHARD ``batch`` and RESULT ``records`` are lane-wire bytes —
+#: a field-name schema table plus one value row per packet — instead of
+#: pickled Packet and DeliveryRecord objects.
+PROTOCOL_VERSION = 4
 
 #: Frame/byte counters by direction ("sent"/"received") — every frame
 #: either side moves is counted here, including heartbeats.

@@ -207,7 +207,12 @@ class WorkerDaemon:
             try:
                 from repro.dataplane import replication
                 from repro.dataplane.engine import Shard, make_lane
+                from repro.dataplane.network import (
+                    decode_batch,
+                    encode_records,
+                )
 
+                batch = decode_batch(payload["batch"])
                 seed = payload["state"]
                 network.install_shard_state(seed)
                 lane = make_lane(
@@ -217,7 +222,7 @@ class WorkerDaemon:
                         tuple(payload["ports"]),
                         frozenset(payload["variables"]),
                     ),
-                    payload["batch"],
+                    batch,
                 )
                 telemetry = payload.get("telemetry")
                 if telemetry is None:
@@ -239,11 +244,12 @@ class WorkerDaemon:
                         with TRACER.span(
                             "worker.run_shard",
                             parent=telemetry.get("trace"),
-                            batch=len(payload["batch"]),
+                            batch=len(batch),
                             worker=os.getpid(),
                             lane=payload.get("lane") or "scalar",
                         ):
                             records, links = lane.run()
+                records_blob = encode_records(records)
                 state = network.extract_shard_state(payload["variables"])
                 replica_log = None
                 replica_spec = payload.get("replica")
@@ -265,7 +271,7 @@ class WorkerDaemon:
                 })
             else:
                 wire.send_message(conn, wire.RESULT, {
-                    "records": records, "links": links, "state": state,
+                    "records": records_blob, "links": links, "state": state,
                     "replica_log": replica_log,
                     "spans": job_spans, "postcards": job_cards,
                 })

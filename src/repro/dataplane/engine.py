@@ -49,6 +49,11 @@ deterministically (:meth:`Network.merge_shard_state`).  Workers cache the
 rehydrated programs per ``(program_key, generation)`` token, so a
 long-lived pool pays the deserialization cost once per program, not per
 batch — and a TE ``rewire`` (same programs, new routing) reuses them.
+Packets cross the process boundary in one compact form, the *lane wire*
+(:func:`repro.dataplane.network.encode_batch` /
+:func:`~repro.dataplane.network.encode_records`): a field-name schema
+table plus one value row per packet, both ways — the cluster engine
+ships the same bytes in its frames.
 
 Every engine honors one *lane failure contract*: if a lane raises, the
 results of lanes that completed are still merged into the network
@@ -86,6 +91,10 @@ from repro.dataplane.network import (
     _EXEC_KEYS,
     Network,
     _Lane,
+    decode_batch,
+    decode_records,
+    encode_batch,
+    encode_records,
     exec_network_spec,
     exec_program_spec,
     worker_network,
@@ -622,14 +631,17 @@ class ProcessPoolEngine(ShardedEngine):
     rehydrated from the pure-data
     :class:`~repro.dataplane.netasm.LoweredProgram` form, sending back
     ``(records, link counters, state deltas)``, which the parent merges
-    in deterministic global arrival order.  Workers cache rehydrated
+    in deterministic global arrival order.  Packets cross the pipe only
+    as schema rows (:func:`~repro.dataplane.network.encode_batch` out,
+    :func:`~repro.dataplane.network.encode_records` back), never as
+    pickled ``Packet``/``DeliveryRecord`` objects.  Workers cache rehydrated
     programs and networks in per-process tables keyed by the network's
     execution tokens, so after the first batch the *rehydration* cost is
     gone; each task still carries the (parent-side cached) spec bytes —
     a worker cannot be targeted, so the parent cannot know which workers
     are warm — but warm workers never deserialize them.
     :attr:`last_run_stats` records what the previous :meth:`run` shipped
-    (lanes, state bytes, spec bytes) for the benchmarks.
+    (lanes, state, spec, batch and record bytes) for the benchmarks.
 
     The pool is created lazily on first :meth:`run` and survives across
     calls (and across TE ``rewire`` hot swaps — the program token is
@@ -652,9 +664,9 @@ class ProcessPoolEngine(ShardedEngine):
         self._pool = None
         self._spec_cache: tuple | None = None  # (network_key, bytes)
         #: What the previous run shipped: ``{"lanes", "state_bytes",
-        #: "spec_bytes"}``, plus the replicated variables and their log
-        #: sizes when replication ran (inline runs report the sharded
-        #: engine's stats).
+        #: "spec_bytes", "batch_bytes", "record_bytes"}``, plus the
+        #: replicated variables and their log sizes when replication ran
+        #: (inline runs report the sharded engine's stats).
         self.last_run_stats: dict = {}
 
     def run(self, network: Network, arrivals) -> list:
@@ -688,7 +700,7 @@ class ProcessPoolEngine(ShardedEngine):
                     "postcard_every": sampler.every if sampler else 0,
                 }
             futures = []
-            state_bytes = 0
+            state_bytes = batch_bytes = 0
             try:
                 for shard_index, batch in batches:
                     shard = plan.shards[shard_index]
@@ -710,6 +722,8 @@ class ProcessPoolEngine(ShardedEngine):
                         protocol=pickle.HIGHEST_PROTOCOL,
                     )
                     state_bytes += len(state_blob)
+                    batch_blob = encode_batch(batch)
+                    batch_bytes += len(batch_blob)
                     payload = (
                         program_key,
                         network_key,
@@ -718,7 +732,7 @@ class ProcessPoolEngine(ShardedEngine):
                         tuple(sorted(variables)),
                         replica_spec,
                         state_blob,
-                        batch,
+                        batch_blob,
                         telemetry,
                     )
                     futures.append(
@@ -736,6 +750,7 @@ class ProcessPoolEngine(ShardedEngine):
                 state_bytes=state_bytes,
                 # A worker cannot be targeted, so every task carries the spec.
                 spec_bytes=len(spec_bytes) * len(batches),
+                batch_bytes=batch_bytes,
                 collapse_reasons=dict(plan.collapse_reasons),
                 replicated_vars=sorted(rplan.replicated),
                 replica_reasons=dict(rplan.replica_reasons),
@@ -743,10 +758,10 @@ class ProcessPoolEngine(ShardedEngine):
             self.last_run_stats = stats
             outcomes: list = []
             failure = None
-            log_entries = log_bytes = 0
+            log_entries = log_bytes = record_bytes = 0
             for shard_index, future in futures:
                 try:
-                    records, links, state, log, lane_obs = future.result()
+                    records_blob, links, state, log, lane_obs = future.result()
                 except Exception as exc:
                     if failure is None:
                         failure = (shard_index, exc)
@@ -765,7 +780,9 @@ class ProcessPoolEngine(ShardedEngine):
                 if lane_obs is not None:
                     TRACER.adopt(lane_obs.get("spans"))
                     postcards.adopt(lane_obs.get("postcards"))
-                outcomes.append((records, links))
+                record_bytes += len(records_blob)
+                outcomes.append((decode_records(records_blob), links))
+            stats.record_bytes = record_bytes
             if replicate:
                 stats.replica_log_entries = log_entries
                 stats.replica_log_bytes = log_bytes
@@ -954,16 +971,21 @@ def _worker_network(program_key, network_key, spec_bytes: bytes) -> Network:
 def _process_lane(payload: tuple):
     """One shard's batch, executed in a worker process.
 
-    Returns ``(records_by_index, link_counts, shard_state, replica_log,
-    lane_obs)`` — the same lane output the thread engine produces, plus
-    the shard's post-run state for the parent to merge, (when the lane
+    The batch arrives, and its records leave, in the lane-wire encoding
+    (:func:`~repro.dataplane.network.encode_batch`,
+    :func:`~repro.dataplane.network.encode_records`).  Returns
+    ``(records_blob, link_counts, shard_state, replica_log, lane_obs)``
+    — the same lane output the thread engine produces, plus the shard's
+    post-run state for the parent to merge, (when the lane
     carried a replica spec) the update log diffed against the shipped
     seed, and (when the run shipped telemetry) the spans and postcards
     recorded while the lane ran, for the parent to adopt.
     """
     (program_key, network_key, spec_bytes,
-     ports, variables, replica_spec, state_blob, batch, telemetry) = payload
+     ports, variables, replica_spec, state_blob, batch_blob,
+     telemetry) = payload
     network = _worker_network(program_key, network_key, spec_bytes)
+    batch = decode_batch(batch_blob)
     seed = pickle.loads(state_blob)
     network.install_shard_state(seed)
     lane = _Lane(network, Shard(tuple(ports), frozenset(variables)), batch)
@@ -990,4 +1012,4 @@ def _process_lane(payload: tuple):
             replication.extract_state(network, lane_vars),
             replica_spec["epoch"],
         )
-    return records, links, state, log, lane_obs
+    return encode_records(records), links, state, log, lane_obs

@@ -29,6 +29,7 @@ hop — through the same two methods, :meth:`Network._pause_egress` and
 from __future__ import annotations
 
 import itertools
+import pickle
 from collections import deque
 
 from repro.dataplane.header import (
@@ -814,3 +815,92 @@ def worker_network(
     network._exec_network_key = network_key
     network._init_routing_indices()
     return network
+
+
+# -- the lane wire: packets crossing a process boundary -----------------------
+#
+# Worker processes and cluster daemons exchange packets in one compact
+# form, schema rows: a table of field-name tuples (one per distinct key
+# order), a schema-id column and one value tuple per packet.  Pickling a
+# few flat columns costs a fraction of pickling every Packet and
+# DeliveryRecord object, and decoding builds packets the way _delivered
+# does.  Values pass through unchanged; only the field names are
+# factored out.
+
+
+def _schema_rows(packets) -> tuple:
+    """``(schema table, schema-id column, value rows)`` for ``packets``."""
+    schemas: dict = {}
+    schema_ids = []
+    rows = []
+    for packet in packets:
+        fields = packet._fields
+        keys = tuple(fields)
+        schema = schemas.get(keys)
+        if schema is None:
+            schema = schemas[keys] = len(schemas)
+        schema_ids.append(schema)
+        rows.append(tuple(fields.values()))
+    return tuple(schemas), schema_ids, rows
+
+
+def _packets(schemas, schema_ids, rows) -> list:
+    """The packets :func:`_schema_rows` encoded, each with a fresh hash."""
+    new = Packet.__new__
+    packets = []
+    for schema, row in zip(schema_ids, rows):
+        packet = new(Packet)
+        packet._fields = dict(zip(schemas[schema], row))
+        packet._hash = None
+        packets.append(packet)
+    return packets
+
+
+def encode_batch(batch) -> bytes:
+    """A lane batch ``[(index, packet, port)]`` as wire bytes: index and
+    port columns plus the packets' schema rows."""
+    return pickle.dumps(
+        (
+            [index for index, _, _ in batch],
+            [port for _, _, port in batch],
+            *_schema_rows(packet for _, packet, _ in batch),
+        ),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
+def decode_batch(blob: bytes) -> list:
+    """The ``[(index, packet, port)]`` batch :func:`encode_batch` encoded."""
+    indices, ports, *schema_rows = pickle.loads(blob)
+    return list(zip(indices, _packets(*schema_rows), ports))
+
+
+def encode_records(results: dict) -> bytes:
+    """A lane's ``{index: [DeliveryRecord]}`` as wire bytes: the index
+    column, per-packet copy counts, and per copy its egress, hops and
+    schema row."""
+    copies = [record for records in results.values() for record in records]
+    return pickle.dumps(
+        (
+            list(results),
+            [len(records) for records in results.values()],
+            [record.egress for record in copies],
+            [record.hops for record in copies],
+            *_schema_rows(record.packet for record in copies),
+        ),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
+def decode_records(blob: bytes) -> dict:
+    """The ``{index: [DeliveryRecord]}`` :func:`encode_records` encoded."""
+    indices, counts, egresses, hops, *schema_rows = pickle.loads(blob)
+    records = list(
+        map(DeliveryRecord, _packets(*schema_rows), egresses, hops)
+    )
+    by_index = {}
+    start = 0
+    for index, count in zip(indices, counts):
+        by_index[index] = records[start:start + count]
+        start += count
+    return by_index

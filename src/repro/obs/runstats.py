@@ -58,6 +58,10 @@ class RunStats:
     # Process pool
     state_bytes: int | None = None
     spec_bytes: int | None = None
+    # Process pool and cluster: lane-wire bytes (encoded batches out,
+    # encoded delivery records back)
+    batch_bytes: int | None = None
+    record_bytes: int | None = None
     # Cluster
     workers: int | None = None
     program_bytes: int | None = None

@@ -313,6 +313,18 @@ class TestLaneFailureContract:
                 assert store.read(f"count@{port}", (port,)) == 1
             assert store.read("count@3", (3,)) == "corrupt"
             assert len(network.deliveries) == 5
+            # The merged records are the surviving packets' records,
+            # field for field, in arrival order.
+            survivors = [
+                (packet, port) for packet, port in one_packet_per_port()
+                if port != 3
+            ]
+            expected = SequentialEngine().run(
+                snapshot.build_network(), survivors
+            )
+            assert record_view(network.deliveries) == record_view(
+                [record for records in expected for record in records]
+            )
         finally:
             engine.close()
 

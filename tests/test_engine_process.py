@@ -1,10 +1,13 @@
 """Tests for the process-pool execution engine and the lowered program form.
 
-Three load-bearing properties:
+Four load-bearing properties:
 
 * ``LoweredProgram`` is pickle-clean pure data and round-trips — a
   rehydrated program is behaviorally identical to the one it was lowered
   from;
+* the lane wire (``encode_batch`` / ``encode_records``) round-trips
+  batches and delivery records in order, field dict for field dict, as
+  packets with no cached hash;
 * the process engine is delivery- and state-equivalent to the sequential
   engine (and therefore to OBS ``eval``) on the Table-3 traces and on
   hypothesis-generated policies including multicast and unshardable
@@ -40,9 +43,20 @@ from repro.dataplane.engine import (
     ShardedEngine,
     get_engine,
 )
+from repro.dataplane.header import SNAP_INPORT, SNAP_NODE, SNAP_OUTPORT
 from repro.dataplane.netasm import LoweredProgram, from_lowered
+from repro.dataplane.network import (
+    DeliveryRecord,
+    decode_batch,
+    decode_records,
+    encode_batch,
+    encode_records,
+)
 from repro.lang import ast
+from repro.lang.packet import Packet
+from repro.lang.values import Symbol
 from repro.topology.campus import campus_topology
+from repro.util.ipaddr import IPPrefix
 from repro import workloads
 from repro.workloads import replay
 
@@ -131,6 +145,102 @@ class TestLoweredProgram:
             assert pickle.loads(pickle.dumps(program.to_lowered())) == (
                 program.to_lowered()
             )
+
+
+# -- the lane wire --------------------------------------------------------------
+
+WIRE_FIELDS = (
+    "srcip", "dstip", "srcport", "proto", "inport", "outport",
+    SNAP_INPORT, SNAP_OUTPORT, SNAP_NODE,
+)
+wire_values = st.one_of(
+    st.none(),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.text(max_size=6),
+    st.builds(
+        IPPrefix,
+        st.integers(min_value=0, max_value=0xFFFFFFFF),
+        st.integers(min_value=0, max_value=32),
+    ),
+    st.sampled_from(["SYN", "ACK", "ESTABLISHED"]).map(Symbol),
+)
+#: Field lists in generated order, so key sets *and* key orders vary.
+wire_packets = st.lists(
+    st.tuples(st.sampled_from(WIRE_FIELDS), wire_values),
+    max_size=len(WIRE_FIELDS), unique_by=lambda item: item[0],
+).map(lambda items: Packet(dict(items)))
+wire_indices = st.lists(
+    st.integers(min_value=0, max_value=10**6), unique=True, max_size=12
+)
+
+
+def _fresh_packet(original, decoded):
+    assert decoded._hash is None
+    assert decoded._fields == original._fields
+    assert list(decoded._fields) == list(original._fields)
+
+
+@st.composite
+def wire_batches(draw):
+    indices = draw(wire_indices)
+    return [
+        (index, draw(wire_packets), draw(st.integers(min_value=1, max_value=8)))
+        for index in indices
+    ]
+
+
+@st.composite
+def wire_records(draw):
+    """A lane's ``{index: [DeliveryRecord]}``: multicast copies, drops
+    (no egress, SNAP header still on) and empty lanes."""
+    results = {}
+    for index in draw(wire_indices):
+        copies = []
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            packet = draw(wire_packets)
+            if draw(st.booleans()):  # a drop keeps its SNAP header
+                packet = packet.modify_many(
+                    {SNAP_INPORT: 1, SNAP_OUTPORT: None, SNAP_NODE: 4}
+                )
+                egress = None
+            else:
+                egress = draw(st.integers(min_value=1, max_value=8))
+            hops = draw(st.integers(min_value=0, max_value=1000))
+            copies.append(DeliveryRecord(packet, egress, hops))
+        results[index] = copies
+    return results
+
+
+class TestLaneWire:
+    """The lane codec: what crosses a process boundary comes back equal,
+    in order, as fresh packets."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(batch=wire_batches())
+    def test_batch_round_trip(self, batch):
+        for _, packet, _ in batch:
+            hash(packet)  # a cached hash must not survive the wire
+        decoded = decode_batch(encode_batch(batch))
+        assert [(i, port) for i, _, port in decoded] == [
+            (i, port) for i, _, port in batch
+        ]
+        for (_, original, _), (_, packet, _) in zip(batch, decoded):
+            _fresh_packet(original, packet)
+
+    @settings(max_examples=100, deadline=None)
+    @given(results=wire_records())
+    def test_records_round_trip(self, results):
+        for records in results.values():
+            for record in records:
+                hash(record.packet)
+        decoded = decode_records(encode_records(results))
+        assert list(decoded) == list(results)
+        for index, records in results.items():
+            assert [(r.egress, r.hops) for r in decoded[index]] == [
+                (r.egress, r.hops) for r in records
+            ]
+            for original, record in zip(records, decoded[index]):
+                _fresh_packet(original.packet, record.packet)
 
 
 class TestProcessEquivalence:

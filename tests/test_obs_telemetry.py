@@ -22,6 +22,7 @@ import threading
 import pytest
 
 from repro import obs, workloads
+from repro.apps import dns_tunnel_detect
 from repro.cluster import ClusterEngine
 from repro.dataplane.engine import (
     ProcessPoolEngine,
@@ -318,6 +319,39 @@ class TestEngineTelemetry:
             packets.labels(engine="sharded").value,
         ) == before["sharded"]
         assert engine.last_run_stats["lanes"] == spans[0]["attrs"]["lanes"]
+
+    def test_cluster_engine_inline_run_is_attributed_to_cluster(self):
+        """All state global: one lane, so the cluster engine runs inline
+        — and that run is still the cluster engine's, in one span."""
+        snapshot, _ = compiled(app=dns_tunnel_detect())
+        trace = list(workloads.background_traffic(SUBNETS, count=30, seed=3))
+        runs = obs.REGISTRY.counter("snap_engine_runs_total")
+        packets = obs.REGISTRY.counter("snap_engine_packets_total")
+        before = {
+            engine: (
+                runs.labels(engine=engine).value,
+                packets.labels(engine=engine).value,
+            )
+            for engine in ("cluster", "sharded")
+        }
+        engine = ClusterEngine(workers=2)
+        try:
+            engine.run(snapshot.build_network(), trace)
+            assert engine.coordinator is None  # inline: no daemons
+        finally:
+            engine.close()
+        spans = TRACER.spans("engine.run")
+        assert [s["attrs"]["engine"] for s in spans] == ["cluster"]
+        assert spans[0]["attrs"]["lanes"] == 1
+        assert runs.labels(engine="cluster").value == before["cluster"][0] + 1
+        assert packets.labels(engine="cluster").value == (
+            before["cluster"][1] + len(trace)
+        )
+        assert (
+            runs.labels(engine="sharded").value,
+            packets.labels(engine="sharded").value,
+        ) == before["sharded"]
+        assert engine.last_run_stats["lanes"] == 1
 
     def test_run_stats_reads_like_the_old_dict(self):
         stats = RunStats(lanes=4, parallelism=2, collapse_reasons={})
