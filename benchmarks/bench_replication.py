@@ -7,7 +7,10 @@ lane.  This bench replays gravity-weighted background traffic on
 ``ShardedEngine`` across a lane-count sweep with replication off (the
 collapse: 1 lane regardless of workers) and on (per-lane replicas +
 deterministic delta merge: 6 lanes), recording pkt/s, the recovered
-lane count, and the replica-log bytes shipped per packet.  A sequential
+lane count, and the replica-log bytes shipped per packet.  One more
+row per lane count runs a default-configured ``VectorEngine``, which
+resolves replication like every other engine (skipped without numpy).
+A sequential
 run is the byte-identity reference — final stores and per-packet
 records are asserted equal on the measured runs themselves.
 
@@ -35,6 +38,11 @@ from repro.dataplane.replication import replica_plan_for
 from repro.lang import ast
 from repro.topology.campus import campus_topology
 from repro.workloads import background_traffic
+
+try:  # the vector rows need the optional numpy dependency
+    from repro.dataplane.vector import VectorEngine
+except ImportError:  # pragma: no cover - only without numpy
+    VectorEngine = None
 
 from conftest import merge_bench_results
 from workloads import print_table
@@ -101,10 +109,15 @@ def test_global_heavy_hitter_sweep(benchmark):
         )
         rows = {}
         for workers in LANE_SWEEP:
-            for replicate in (False, True):
-                engine = ShardedEngine(
+            configs = [
+                (replicate, ShardedEngine(
                     max_workers=workers, replicate_state=replicate
-                )
+                ))
+                for replicate in (False, True)
+            ]
+            if VectorEngine is not None:
+                configs.append(("vector", VectorEngine(max_workers=workers)))
+            for replicate, engine in configs:
                 elapsed, records, net = _best_time(engine, snapshot, trace)
                 # Byte-identity vs sequential, on the measured runs.
                 assert net.global_store() == seq_net.global_store(), (
@@ -133,13 +146,14 @@ def test_global_heavy_hitter_sweep(benchmark):
                 "replicate_state": replicate,
                 **rows[(workers, replicate)],
             }
-            for (workers, replicate) in sorted(rows)
+            for (workers, replicate) in rows
         ],
     }
-    for (workers, replicate), row in sorted(rows.items()):
+    for (workers, replicate), row in rows.items():
         _RESULTS.append((
             workers,
-            "on" if replicate else "off",
+            replicate if replicate == "vector"
+            else "on" if replicate else "off",
             row["lanes"],
             f"{row['pps']:,}",
             row["log_bytes_per_packet"],
@@ -150,6 +164,8 @@ def test_global_heavy_hitter_sweep(benchmark):
         assert rows[(workers, False)]["lanes"] == 1
         assert rows[(workers, True)]["lanes"] == NUM_PORTS
         assert rows[(workers, True)]["log_entries"] > 0
+        if VectorEngine is not None:
+            assert rows[(workers, "vector")]["lanes"] == NUM_PORTS
     off_pps = [rows[(w, False)]["pps"] for w in LANE_SWEEP]
     on_pps = [rows[(w, True)]["pps"] for w in LANE_SWEEP]
     assert min(off_pps) > 0 and min(on_pps) > 0

@@ -77,76 +77,6 @@ def test_compose_cache(benchmark, app_name):
     })
 
 
-def test_cache_key_mode_study(benchmark):
-    """Apply-cache key study: ``id`` operand keys vs structural keys.
-
-    Two candidate keys for the ``(op, operands, ctx)`` apply-cache entry:
-    the production ``id()`` key (injective per factory thanks to
-    interning; one C call to compute) and the content ``structural_key``
-    (a cached blake2b digest of the sub-diagram; identity-insensitive,
-    so equal diagrams from different sessions would share entries).
-    Within one factory the two are *logically equivalent* — interning
-    makes equal diagrams the same object — so hit rates must match and
-    the only difference is key-construction cost.  The study pins that
-    reasoning with numbers; the conclusion (keep ``id``) is recorded in
-    ``docs/performance.md``.
-    """
-    rows = []
-    for app_name in ALL_APPS:
-        app = ALL_APPS[app_name]()
-        program = _deployed_program(app)
-        policy = program.full_policy()
-        state_rank = analyze_dependencies(policy).state_rank
-        per_mode = {}
-        for mode in ("id", "structural"):
-            best, composer = float("inf"), None
-            for _ in range(_ROUNDS):
-                order = TestOrder(program.registry, state_rank)
-                composer = Composer(
-                    order, factory=DiagramFactory(), key_mode=mode
-                )
-                t0 = time.perf_counter()
-                to_xfdd(policy, composer)
-                best = min(best, time.perf_counter() - t0)
-            stats = composer.cache_stats()
-            per_mode[mode] = {
-                "ms": round(best * 1000, 3),
-                "hit_rate": round(stats["cache_hit_rate"], 4),
-                "hits": stats["cache_hits"],
-            }
-        rows.append({
-            "app": app_name,
-            "id": per_mode["id"],
-            "structural": per_mode["structural"],
-            "overhead": round(
-                per_mode["structural"]["ms"] / per_mode["id"]["ms"], 2
-            ) if per_mode["id"]["ms"] else 1.0,
-        })
-    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
-    print_table(
-        "apply-cache key study: id vs structural operand keys",
-        ("application", "id", "structural", "id hit%", "struct hit%",
-         "struct/id"),
-        [
-            (
-                row["app"],
-                f"{row['id']['ms']:.1f}ms",
-                f"{row['structural']['ms']:.1f}ms",
-                f"{row['id']['hit_rate'] * 100:.0f}%",
-                f"{row['structural']['hit_rate'] * 100:.0f}%",
-                f"{row['overhead']:.2f}x",
-            )
-            for row in rows
-        ],
-    )
-    # Interning makes the keys equivalent within a factory: identical
-    # hit *counts*, not merely similar rates.  A divergence here means
-    # structural_key collides or interning broke — both are bugs.
-    for row in rows:
-        assert row["id"]["hits"] == row["structural"]["hits"], row["app"]
-    merge_bench_results("cache_key_study", rows)
-
-
 def test_zz_report(benchmark):
     benchmark.pedantic(lambda: None, iterations=1, rounds=1)
     assert len(_RESULTS) == len(ALL_APPS)

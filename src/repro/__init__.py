@@ -21,16 +21,14 @@ Public API highlights::
     snap = controller.set_demands(matrix)
 
 Each event returns an immutable, generation-numbered ``Snapshot``.
-``Compiler`` (``cold_start`` / ``policy_change`` / ``topology_change``)
-remains as a deprecated shim over the controller; see ``docs/api.md``
-for the lifecycle and the migration guide, and README.md for a tour.
+``SnapController`` is the one compile entry point; ``docs/api.md``
+describes the lifecycle and maps the names removed in 2.0.0 (the
+``Compiler`` class, ``CompilationResult``) onto it.
 """
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 from repro.core import (  # noqa: F401
-    CompilationResult,
-    Compiler,
     CompilerOptions,
     Program,
     Snapshot,

@@ -93,7 +93,7 @@ class ClusterEngine(ShardedEngine):
 
     def __init__(self, workers: int = 2, addresses=(), lane=None,
                  replicate_state: bool | None = None):
-        if lane not in (None, "scalar", "vector", "vector-jit"):
+        if lane not in (None, "scalar", "vector"):
             raise ClusterError(f"unknown lane kind {lane!r}")
         # One thread: the inline fallback runs its single lane here.
         # ``replicate_state=None`` defers to the network's
@@ -102,7 +102,7 @@ class ClusterEngine(ShardedEngine):
         super().__init__(max_workers=1, replicate_state=replicate_state)
         self.workers = workers
         self.addresses = tuple(addresses)
-        #: Lane opt-in: "vector" / "vector-jit" asks every worker daemon
+        #: Lane opt-in: "vector" asks every worker daemon
         #: to run its shard on the columnar tier (a worker without numpy
         #: silently runs the scalar lane — semantics are identical).
         self.lane = lane

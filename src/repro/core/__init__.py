@@ -2,21 +2,17 @@
 
 from repro.core.controller import SnapController
 from repro.core.options import CompilerOptions
-from repro.core.pipeline import Compiler
 from repro.core.program import Program
 from repro.core.report import compilation_report
 from repro.core.result import (
     EVENT_SCENARIOS,
     SCENARIO_PHASES,
-    CompilationResult,
     Snapshot,
 )
 
 __all__ = [
     "EVENT_SCENARIOS",
     "SCENARIO_PHASES",
-    "CompilationResult",
-    "Compiler",
     "CompilerOptions",
     "Program",
     "Snapshot",

@@ -308,8 +308,7 @@ class SnapController:
 
         ``failed_links=None`` keeps the current set; ``[]`` restores
         everything.  This is the bulk form of ``fail_link`` /
-        ``restore_link`` / ``set_demands`` (and what the legacy
-        ``Compiler.topology_change`` delegates to).  ``event`` labels the
+        ``restore_link`` / ``set_demands``.  ``event`` labels the
         snapshot's provenance and must map to the topology/TM-change
         scenario.
         """
@@ -333,21 +332,6 @@ class SnapController:
             return self._reoptimize(event, demands_changed=demands_changed)
 
     # -- session input mutators (no compilation) ---------------------------
-
-    def replace_program(self, program: Program | None) -> None:
-        """Set the session's program without compiling it yet.
-
-        The next ST event (``submit``/``update_policy``) compiles it.
-        The standing TE model and the solve-retention key are dropped:
-        they describe the previous program, and a later TE event must
-        not re-route against inputs the session no longer holds.  (The
-        deprecated ``Compiler.program`` setter used to poke
-        ``_program`` directly with no invalidation — this is the
-        sanctioned spelling.)
-        """
-        self._program = program
-        self._invalidate_te()
-        self._last_solve_key = None
 
     def replace_topology(self, topology: Topology) -> None:
         """Replace the base topology without re-routing yet.

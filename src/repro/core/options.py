@@ -29,9 +29,8 @@ class CompilerOptions:
     session-owned pool that survives TE hot swaps, see
     :mod:`repro.dataplane.engine`), ``"cluster"`` (the same shards on
     socket-connected worker daemons, local subprocesses or remote
-    hosts, see :mod:`repro.cluster`), ``"vector"`` / ``"vector-jit"``
-    (the columnar NumPy batch tier inside each lane, interpreted or as
-    generated per-program kernels, see :mod:`repro.dataplane.vector`),
+    hosts, see :mod:`repro.cluster`), ``"vector"`` (the columnar NumPy
+    batch tier inside each lane, see :mod:`repro.dataplane.vector`),
     any other name added through
     :func:`repro.dataplane.engine.register_engine`, or an engine
     instance.
@@ -44,7 +43,7 @@ class CompilerOptions:
     stateful_switches: tuple | None = None
     #: Data-plane execution engine for ``SnapController.network()``: a
     #: registered name (``"sequential"`` | ``"sharded"`` | ``"process"``
-    #: | ``"cluster"`` | ``"vector"`` | ``"vector-jit"`` | ...) or an
+    #: | ``"cluster"`` | ``"vector"`` | ...) or an
     #: engine instance.
     engine: object = "sequential"
     #: Whether parallel engines may lift collapse-causing mergeable

@@ -7,9 +7,6 @@ that compilation produced, stamped with a monotonically increasing
 — the controller never edits one in place, and callers can hold onto any
 generation (for diffing, rollback inspection, or serving) without it
 changing underneath them.
-
-``CompilationResult`` is the snapshot's pre-session name, kept as an
-alias for existing callers.
 """
 
 from __future__ import annotations
@@ -127,6 +124,3 @@ class Snapshot:
             f"placement={dict(self.placement)})"
         )
 
-
-#: Backwards-compatible name for the result type.
-CompilationResult = Snapshot

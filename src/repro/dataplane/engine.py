@@ -617,7 +617,7 @@ class ShardedEngine:
         return _Lane(network, shard, batch)
 
     def __repr__(self):
-        return f"ShardedEngine(max_workers={self.max_workers})"
+        return f"{type(self).__name__}(max_workers={self.max_workers})"
 
 
 class ProcessPoolEngine(ShardedEngine):
@@ -904,21 +904,20 @@ register_engine("cluster", "repro.cluster.engine:ClusterEngine", stateful=True)
 # Lazy: the vector tier imports numpy only when first used.  Stateless —
 # kernel caches are module-global, keyed by execution-program tokens.
 register_engine("vector", "repro.dataplane.vector:VectorEngine")
-register_engine("vector-jit", "repro.dataplane.vector:VectorJitEngine")
 
 
 def make_lane(kind, network: "Network", shard: "Shard", batch):
-    """A lane of the requested kind (``None``/"scalar", "vector",
-    "vector-jit") — the cluster worker's entry point for lane opt-in.
-    Degrades to the scalar lane when numpy is unavailable."""
+    """A lane of the requested kind (``None``/"scalar" or "vector") — the
+    cluster worker's entry point for lane opt-in.  Degrades to the
+    scalar lane when numpy is unavailable."""
     if kind in (None, "", "scalar"):
         return _Lane(network, shard, batch)
-    if kind in ("vector", "vector-jit"):
+    if kind == "vector":
         try:
             from repro.dataplane.vector import make_vector_lane
         except ImportError:  # pragma: no cover - only without numpy
             return _Lane(network, shard, batch)
-        return make_vector_lane(kind, network, shard, batch)
+        return make_vector_lane(network, shard, batch)
     raise DataPlaneError(f"unknown lane kind {kind!r}")
 
 

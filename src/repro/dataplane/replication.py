@@ -64,7 +64,7 @@ implementation, and ``Network``'s methods delegate here.
 Engine wiring lives in :mod:`repro.dataplane.engine` (thread + process
 lanes), :mod:`repro.cluster.engine` / :mod:`repro.cluster.worker` (wire
 protocol v2 carries the replica spec out and the update log back), and
-:mod:`repro.dataplane.vector` (the opt-in ``commute_fastpath`` draws its
+:mod:`repro.dataplane.vector` (its commuting-overlap check draws its
 commutable-variable set from the same eligibility predicate).  Gate it
 per session with ``CompilerOptions(replicate_state=...)`` or per engine
 with ``ShardedEngine(replicate_state=...)``; the environment variable
@@ -110,9 +110,9 @@ def replicable_delta_vars(root, state_defaults: dict) -> frozenset:
     """Delta-mergeable variables of a compiled diagram.
 
     The byte-identity predicate for the ``delta`` kind: INCREMENT effect,
-    never state-tested, integer (or absent) default.  This is the set the
-    vector tier's ``commute_fastpath`` promotes onto — one predicate, one
-    answer, whichever engine asks.
+    never state-tested, integer (or absent) default.  This is also the set
+    the vector tier keeps columnar when it overlaps scalar-fallback rows
+    — one predicate, one answer, whichever engine asks.
     """
     from repro.analysis.effects import EffectKind, xfdd_effects
 

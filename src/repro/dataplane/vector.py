@@ -1,4 +1,4 @@
-"""Vectorized batch execution tier (``engine="vector"`` / ``"vector-jit"``).
+"""Vectorized batch execution tier (``engine="vector"``).
 
 Every existing engine parallelizes the same per-packet interpreter loop
 (:meth:`repro.dataplane.netasm.SwitchProgram.process`); this module lowers
@@ -26,26 +26,23 @@ How each opcode vectorizes:
 
 ``PAUSE``, ``STWRITE``, and branches on state (``StateVarTest``) do not
 vectorize: rows whose resolved entry can reach one fall back to the
-scalar :class:`repro.dataplane.network._Lane`, and if the fallback rows'
-state footprint overlaps the vectorized rows' the whole batch runs
-scalar (deferred deltas may not be reordered around scalar state
-reads).  One exception, opt-in via ``VectorEngine(commute_fastpath=
-True)`` or ``SNAP_VECTOR_COMMUTE=1``: when the static effect analysis
-(:mod:`repro.analysis.effects`) proves every overlapping variable is
-written only by ``++``/``--`` and never state-tested anywhere in the
-diagram (and holds integers), the deltas commute with anything the
-scalar rows do, so the vector groups stay vectorized.  Either way the
-engine is byte-identical to
+scalar :class:`repro.dataplane.network._Lane`.  When the fallback rows'
+state footprint overlaps the vectorized rows', the vector groups stay
+columnar only if the static effect analysis (:mod:`repro.analysis
+.effects`) proves every overlapping variable is written only by
+``++``/``--``, never state-tested anywhere in the diagram, and integer —
+the same predicate state-compute replication uses — because such deltas
+commute with anything the scalar rows do.  Any other overlap runs the
+whole batch scalar (deferred deltas may not be reordered around scalar
+state reads).  Either way the engine is byte-identical to
 :class:`~repro.dataplane.engine.SequentialEngine` — same records, same
 link counters, same state stores — which the cross-engine property
 tests assert.
 
-The ``vector-jit`` tier additionally *generates one specialized Python
-function per (program, entry)* — the columnar pipeline unrolled to
-straight-line source, ``exec``-ed once and cached by the network's
-``_exec_program_key`` token (the same token that versions programs for
-the cluster wire), so a TE ``rewire`` keeps every warm kernel and
-re-``exec``s nothing.
+Kernel plans (the op DAG, the interned value vocabulary and the test
+LUTs) are cached by the network's ``_exec_program_key`` token — the same
+token that versions programs for the cluster wire — so a TE ``rewire``
+keeps every warm kernel and re-plans nothing.
 
 Failure contract: like every lane, a failing vector lane loses its own
 records while completed lanes still merge.  One documented deviation:
@@ -62,7 +59,6 @@ lane, and constructing an engine raises a clear error.
 
 from __future__ import annotations
 
-import os
 import threading
 
 try:  # optional dependency — see module docstring
@@ -126,8 +122,8 @@ def _demote(cause: str, rows: int) -> None:
 _KERNELS: dict = {}
 _KERNEL_CACHE_LIMIT = 256
 
-#: Counters for the benchmarks and the zero-re-exec-after-rewire test.
-KERNEL_STATS = {"plans": 0, "compiles": 0, "kernel_calls": 0, "cache_hits": 0}
+#: Counters for the benchmarks and the zero-re-plan-after-rewire test.
+KERNEL_STATS = {"plans": 0, "kernel_calls": 0, "cache_hits": 0}
 
 
 def kernel_cache_stats() -> dict:
@@ -194,7 +190,7 @@ class _Kernel:
     __slots__ = (
         "program", "entry", "vectorizable", "reason", "topo", "ops",
         "fields", "delta_vars", "has_fork", "vocab", "reps",
-        "_lut_vals", "_lut_known", "_pair_luts", "fn", "source", "lock",
+        "_lut_vals", "_lut_known", "_pair_luts", "lock",
     )
 
     def __init__(self, program: SwitchProgram, entry: int):
@@ -206,8 +202,6 @@ class _Kernel:
         self._lut_vals: dict = {}   # branch op idx -> np.bool_ array
         self._lut_known: dict = {}  # branch op idx -> np.bool_ array
         self._pair_luts: dict = {}  # branch op idx -> {(c1, c2): bool}
-        self.fn = None
-        self.source = None
         self.lock = threading.Lock()
         self._analyze()
 
@@ -464,8 +458,7 @@ class _GroupRun:
     A *frame* is ``(idx, overlays, okeys)``: the active rows (positions
     into this group's columns), the SET-modified columns, and — only once
     a FORK has run — each row copy's fork-path order key.  Frames flow
-    through the op DAG; the generated kernels and the interpreter both
-    drive execution exclusively through the methods below.
+    through the op DAG in topological order (:meth:`run`).
     """
 
     __slots__ = (
@@ -511,7 +504,7 @@ class _GroupRun:
             self.cols[field] = column
         return column
 
-    # -- frame primitives (shared by interpreter and generated kernels) ----
+    # -- frame primitives --------------------------------------------------
 
     def cat(self, parts):
         """Merge the frames arriving at one op (a DAG join point)."""
@@ -588,15 +581,9 @@ class _GroupRun:
         )
         self._seq += 1
 
-    def emit(self, frame) -> None:
-        self.terminals.append(("emit", frame))
+    # -- the executor ------------------------------------------------------
 
-    def drop(self, frame) -> None:
-        self.terminals.append(("drop", frame))
-
-    # -- the interpretive executor ----------------------------------------
-
-    def run_interpreted(self) -> None:
+    def run(self) -> None:
         kernel = self.kernel
         ops = kernel.ops
         pending: dict = {kernel.entry: [(self.idx0, {}, None)]}
@@ -635,74 +622,8 @@ class _GroupRun:
                     pending.setdefault(target, []).append(
                         self.fork_ok(frame, target_index)
                     )
-            elif tag == "emit":
-                self.emit(frame)
-            else:  # drop
-                self.drop(frame)
-
-
-# -- generated kernels ("vector-jit") -----------------------------------------
-
-
-def _generate_source(kernel: _Kernel) -> str:
-    """The columnar pipeline unrolled to straight-line Python source.
-
-    Each reachable op becomes one guarded block over its incoming-frame
-    list; the topological emission order guarantees every producer block
-    precedes its consumers, so one pass executes the whole DAG with no
-    dispatch loop.
-    """
-    lines = [
-        f"def _kernel(rt):  # {kernel.program.switch} @{kernel.entry}",
-        "    _cat = rt.cat; _sel = rt.sel; _test = rt.test",
-        "    _set = rt.set_field; _delta = rt.delta; _fork = rt.fork_ok",
-        "    _emit = rt.emit; _drop = rt.drop",
-    ]
-    emit = lines.append
-    for op_idx in kernel.topo:
-        emit(f"    _p{op_idx} = []")
-    emit(f"    _p{kernel.entry}.append((rt.idx0, {{}}, None))")
-    for op_idx in kernel.topo:
-        spec = kernel.ops[op_idx]
-        tag = spec[0]
-        emit(f"    if _p{op_idx}:")
-        emit(f"        _f = _cat(_p{op_idx})")
-        if tag == "fv" or tag == "ff":
-            on_true, on_false = spec[-2], spec[-1]
-            emit(f"        _m = _test({op_idx}, _f)")
-            emit(f"        if _m.all(): _p{on_true}.append(_f)")
-            emit(f"        elif not _m.any(): _p{on_false}.append(_f)")
-            emit("        else:")
-            emit(f"            _p{on_true}.append(_sel(_f, _m))")
-            emit(f"            _p{on_false}.append(_sel(_f, ~_m))")
-        elif tag == "set":
-            emit(
-                f"        _p{op_idx + 1}.append"
-                f"(_set(_f, {spec[1]!r}, {spec[2]}))"
-            )
-        elif tag == "delta":
-            emit(f"        _delta({op_idx}, _f)")
-            emit(f"        _p{op_idx + 1}.append(_f)")
-        elif tag == "jump":
-            emit(f"        _p{spec[1]}.append(_f)")
-        elif tag == "fork":
-            for target_index, target in enumerate(spec[1]):
-                emit(f"        _p{target}.append(_fork(_f, {target_index}))")
-        elif tag == "emit":
-            emit("        _emit(_f)")
-        else:
-            emit("        _drop(_f)")
-    return "\n".join(lines)
-
-
-def _compiled_kernel(kernel: _Kernel):
-    if kernel.fn is None:
-        kernel.source = _generate_source(kernel)
-        namespace: dict = {}
-        exec(kernel.source, namespace)  # noqa: S102 - our own generated source
-        kernel.fn = namespace["_kernel"]
-        KERNEL_STATS["compiles"] += 1
-    return kernel.fn
+            else:  # emit / drop
+                self.terminals.append((tag, frame))
 
 
 # -- the vector lane ----------------------------------------------------------
@@ -716,17 +637,12 @@ class VectorLane:
     the records, ordering, and counters the sequential engine produces.
     """
 
-    __slots__ = ("network", "shard", "batch", "jit", "commute", "_scalar",
-                 "_counter")
+    __slots__ = ("network", "shard", "batch", "_scalar", "_counter")
 
-    def __init__(self, network, shard: Shard, batch, jit: bool = False,
-                 commute: bool = False):
+    def __init__(self, network, shard: Shard, batch):
         self.network = network
         self.shard = shard
         self.batch = batch
-        self.jit = jit
-        #: opt-in commutative-overlap fast path (see :meth:`run`)
-        self.commute = commute
         self._scalar = _Lane(network, shard, [])
         self._counter = 0
 
@@ -794,15 +710,12 @@ class VectorLane:
                 )
             )
             overlap = vector_vars & fallback_vars
-            if overlap and not (
-                self.commute and overlap <= _commutable_vars(net)
-            ):
+            if overlap and not overlap <= _commutable_vars(net):
                 # Deferred deltas cannot be reordered around scalar rows
-                # that share state: the whole batch runs scalar.  The
-                # opt-in fast path keeps the vector groups when the
-                # effect analysis proves every overlapping variable is
-                # increment-only and never read — then the deltas
-                # commute with anything the scalar rows can do.
+                # that share state: the whole batch runs scalar — unless
+                # the effect analysis proves every overlapping variable
+                # increment-only and never read, so the deltas commute
+                # with anything the scalar rows can do.
                 _demote("state-overlap", len(self.batch))
                 self._scalar.batch = self.batch
                 return self._scalar.run()
@@ -814,10 +727,7 @@ class VectorLane:
             for kernel, rows in vector_groups:
                 with kernel.lock:
                     run = _GroupRun(kernel, rows)
-                    if self.jit:
-                        _compiled_kernel(kernel)(run)
-                    else:
-                        run.run_interpreted()
+                    run.run()
                     KERNEL_STATS["kernel_calls"] += 1
                     delta_events.extend(run.delta_events)
                     self._collect_records(run, out, results)
@@ -854,12 +764,11 @@ class VectorLane:
             # that ran columnar get a delivery-level summary postcard.
             # (Fallback rows already produced full postcards inside the
             # scalar lane's own sampling hook.)
-            kind = "vector-jit" if self.jit else "vector"
             for _, rows in vector_groups:
                 for gidx, _packet, port in rows:
                     if sampler.should(gidx):
                         postcards.record_summary(
-                            gidx, port, results.get(gidx, ()), kind
+                            gidx, port, results.get(gidx, ()), "vector"
                         )
         return results, links
 
@@ -1052,64 +961,23 @@ class VectorEngine(ShardedEngine):
     """
 
     name = "vector"
-    jit = False
 
     def __init__(self, max_workers: int | None = None,
-                 commute_fastpath: bool | None = None,
                  replicate_state: bool | None = None):
         if np is None:
             raise DataPlaneError(
-                "the vector engines require numpy, which is not installed; "
+                "the vector engine requires numpy, which is not installed; "
                 "use engine='sharded' (or install numpy)"
             )
         super().__init__(max_workers, replicate_state=replicate_state)
-        # Opt-in: keep vector groups when every variable shared with the
-        # scalar fallback is proven increment-only and never tested (see
-        # VectorLane.run).  Default stays the conservative whole-batch
-        # demotion; SNAP_VECTOR_COMMUTE=1 flips the default.
-        if commute_fastpath is None:
-            commute_fastpath = os.environ.get("SNAP_VECTOR_COMMUTE") == "1"
-        self.commute_fastpath = commute_fastpath
-
-    def replica_plan(self, network):
-        """State-compute replication, promoted from ``commute_fastpath``.
-
-        The vector tier's default is the conservative one its tests pin:
-        no reordering of state updates unless the user opted in — so a
-        default-configured vector engine only replicates when
-        ``replicate_state=True`` is passed explicitly or the
-        ``commute_fastpath`` opt-in (which already asserts tolerance to
-        delta reordering) is on.  Both draw from the same eligibility
-        predicate, so opting into one opts into the other coherently.
-        """
-        from repro.dataplane.replication import replica_plan_for
-
-        if self.replicate_state is None and not self.commute_fastpath:
-            return replica_plan_for(network, False)
-        return super().replica_plan(network)
 
     def _make_lane(self, network, shard: Shard, batch):
-        return VectorLane(
-            network, shard, batch, jit=self.jit,
-            commute=self.commute_fastpath,
-        )
-
-    def __repr__(self):
-        return f"{type(self).__name__}(max_workers={self.max_workers})"
+        return VectorLane(network, shard, batch)
 
 
-class VectorJitEngine(VectorEngine):
-    """The vector tier with generated per-program kernels (see
-    :func:`_generate_source`); cached by ``_exec_program_key`` so TE
-    rewires re-``exec`` nothing."""
-
-    name = "vector-jit"
-    jit = True
-
-
-def make_vector_lane(kind: str, network, shard: Shard, batch):
+def make_vector_lane(network, shard: Shard, batch):
     """A lane for the cluster worker's opt-in (scalar when numpy is
     missing on the worker host — semantics are identical either way)."""
     if np is None:
         return _Lane(network, shard, batch)
-    return VectorLane(network, shard, batch, jit=(kind == "vector-jit"))
+    return VectorLane(network, shard, batch)

@@ -87,8 +87,8 @@ def replay(trace: Trace, network: Network, engine=None) -> ReplayStats:
     """Drive the trace through the network; returns delivery statistics.
 
     ``engine`` picks the execution engine (``"sequential"`` |
-    ``"sharded"`` | ``"process"`` | ``"cluster"`` | ``"vector"`` |
-    ``"vector-jit"`` | any name added via
+    ``"sharded"`` | ``"process"`` | ``"cluster"`` | ``"vector"`` | any
+    name added via
     :func:`repro.dataplane.engine.register_engine` | an engine instance
     — stateful names like ``"process"`` and ``"cluster"`` resolve to one
     shared pool/daemon-set across calls); when ``None`` the network's

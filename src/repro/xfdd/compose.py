@@ -44,7 +44,6 @@ from repro.xfdd.diagram import (
     Leaf,
     XFDD,
     default_factory,
-    structural_key,
 )
 from repro.xfdd.order import TestOrder
 from repro.xfdd.tests import FieldFieldTest, FieldValueTest, StateVarTest, XTest
@@ -98,6 +97,9 @@ class Composer:
     ``id()`` is sound because operands are hash-consed by ``self.factory``,
     whose intern table pins them alive for the composer's lifetime, and
     equal context keys decide every implication question identically.
+    (A content-digest key would add nothing: interning already makes
+    equal diagrams the same object, so it finds the same hits at a
+    higher price per lookup.)
     Without this cache, structurally identical subproblems recur
     exponentially often in deep compositions.
 
@@ -114,10 +116,7 @@ class Composer:
         order: TestOrder,
         factory: DiagramFactory | None = None,
         use_cache: bool = True,
-        key_mode: str = "id",
     ):
-        if key_mode not in ("id", "structural"):
-            raise ValueError(f"key_mode must be 'id' or 'structural', got {key_mode!r}")
         self.order = order
         self.factory = factory if factory is not None else default_factory()
         self.factory.register_composer(self)
@@ -127,13 +126,6 @@ class Composer:
         self.cache_hits = 0
         self.cache_misses = 0
         self._hits_at_checkpoint = 0
-        # Apply-cache operand key: ``id`` (the production key — interning
-        # makes it injective per factory and it costs one C call) or
-        # ``structural`` (the fingerprint key measured by the cache-key
-        # study; identity-insensitive, so equal diagrams from merged
-        # sessions would share entries).
-        self.key_mode = key_mode
-        self._node_key = id if key_mode == "id" else structural_key
         # Composer-scoped root: contexts memoize their children (see
         # Context.add), so rooting each composition session in a private
         # empty context keeps that memo tree from outliving the composer.
@@ -150,7 +142,6 @@ class Composer:
             "cache_entries": len(self._cache),
             "cache_hit_rate": self.cache_hits / total if total else 0.0,
             "cache_bypassed": self.cache_bypassed,
-            "cache_key_mode": self.key_mode,
         }
         stats.update(self.factory.stats())
         return stats
@@ -215,7 +206,7 @@ class Composer:
             ctx = self.root_context
         if not self.use_cache:
             return self._union(d1, d2, ctx)
-        key = ("u", self._node_key(d1), self._node_key(d2), ctx.cache_key())
+        key = ("u", id(d1), id(d2), ctx.cache_key())
         hit = self._cache_lookup(key)
         if hit is not None:
             return hit
@@ -265,7 +256,7 @@ class Composer:
     def negate(self, d: XFDD) -> XFDD:
         if not self.use_cache:
             return self._negate(d)
-        key = ("n", self._node_key(d))
+        key = ("n", id(d))
         hit = self._cache_lookup(key)
         if hit is not None:
             return hit
@@ -289,7 +280,7 @@ class Composer:
     def restrict(self, d: XFDD, test: XTest, positive: bool) -> XFDD:
         if not self.use_cache:
             return self._restrict(d, test, positive)
-        key = ("r", self._node_key(d), test, positive)
+        key = ("r", id(d), test, positive)
         hit = self._cache_lookup(key)
         if hit is not None:
             return hit
@@ -322,7 +313,7 @@ class Composer:
             ctx = self.root_context
         if not self.use_cache:
             return self._sequence(d1, d2, ctx)
-        key = ("s", self._node_key(d1), self._node_key(d2), ctx.cache_key())
+        key = ("s", id(d1), id(d2), ctx.cache_key())
         hit = self._cache_lookup(key)
         if hit is not None:
             return hit
@@ -353,7 +344,7 @@ class Composer:
     def _seq_actions(self, seq: tuple, d: XFDD, ctx: Context) -> XFDD:
         if not self.use_cache:
             return self._seq_actions_impl(seq, d, ctx)
-        key = ("a", seq, self._node_key(d), ctx.cache_key())
+        key = ("a", seq, id(d), ctx.cache_key())
         hit = self._cache_lookup(key)
         if hit is not None:
             return hit

@@ -13,7 +13,6 @@ the same state variable."
 
 from __future__ import annotations
 
-import hashlib
 import weakref
 
 from repro.lang.errors import RaceConditionError, SnapError
@@ -35,7 +34,7 @@ from repro.xfdd.tests import FieldFieldTest, FieldValueTest, StateVarTest, XTest
 class XFDD:
     """Base class; nodes are interned — compare with ``is`` or ``==``."""
 
-    __slots__ = ("_tested_vars", "_written_vars", "_size", "_skey")
+    __slots__ = ("_tested_vars", "_written_vars", "_size")
 
     def tested_state_vars(self) -> frozenset:
         raise NotImplementedError
@@ -58,7 +57,6 @@ class Leaf(XFDD):
         object.__setattr__(self, "_written_vars", written)
         object.__setattr__(self, "_size", 1)
         object.__setattr__(self, "_ordered", None)
-        object.__setattr__(self, "_skey", None)
 
     def tested_state_vars(self):
         return self._tested_vars
@@ -103,7 +101,6 @@ class Branch(XFDD):
             self, "_written_vars", hi.written_state_vars() | lo.written_state_vars()
         )
         object.__setattr__(self, "_size", 1 + hi._size + lo._size)
-        object.__setattr__(self, "_skey", None)
 
     def tested_state_vars(self):
         return self._tested_vars
@@ -305,36 +302,6 @@ def make_branch(test: XTest, hi: XFDD, lo: XFDD) -> XFDD:
 
 DROP: Leaf = make_leaf([(DROP_ACTION,)])
 IDENTITY: Leaf = make_leaf([()])
-
-
-def structural_key(node: XFDD) -> bytes:
-    """Identity-insensitive digest of a diagram's structure, cached.
-
-    The measurement counterpart to the ``id()``-based apply-cache keys:
-    two structurally equal diagrams — even interned by *different*
-    factories — share this key.  Within one factory the map id → key is
-    injective-by-construction (interning), so keying an apply-cache on it
-    is sound wherever the id key is; the interesting question, answered
-    by the cache-key study in ``benchmarks/bench_xfdd_cache.py``, is
-    whether the extra equivalences it exposes buy any additional hits.
-    """
-    cached = node._skey
-    if cached is not None:
-        return cached
-    h = hashlib.blake2b(digest_size=16)
-    if isinstance(node, Leaf):
-        h.update(b"L")
-        for seq in node.ordered_seqs():
-            h.update(repr(seq).encode())
-            h.update(b";")
-    else:
-        h.update(b"B")
-        h.update(repr(node.test).encode())
-        h.update(structural_key(node.hi))
-        h.update(structural_key(node.lo))
-    digest = h.digest()
-    object.__setattr__(node, "_skey", digest)
-    return digest
 
 
 def is_predicate_diagram(d: XFDD) -> bool:

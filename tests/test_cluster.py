@@ -174,11 +174,16 @@ class TestEngineRegistry:
         assert CompilerOptions(engine="cluster").engine == "cluster"
 
     def test_unknown_engine_names_all_registered(self):
-        with pytest.raises(SnapError) as excinfo:
-            get_engine("bogus")
-        assert "cluster" in str(excinfo.value)
-        with pytest.raises(ValueError):
-            CompilerOptions(engine="bogus")
+        # "vector-jit" was a registered engine and lane kind until 2.0.0;
+        # it is now as unknown as any other name.
+        for unknown in ("bogus", "vector-jit"):
+            with pytest.raises(SnapError) as excinfo:
+                get_engine(unknown)
+            assert "cluster" in str(excinfo.value)
+            with pytest.raises(ValueError):
+                CompilerOptions(engine=unknown)
+            with pytest.raises(ClusterError, match="lane"):
+                ClusterEngine(lane=unknown)
 
     def test_named_cluster_engine_is_shared(self):
         engine = get_engine("cluster")
@@ -544,6 +549,20 @@ class TestFaultInjection:
             assert handle.ping()  # daemon survived both rejections
         finally:
             handle.close()
+
+    def test_worker_replies_error_to_a_retired_lane_kind(self):
+        """A daemon asked for a lane kind it does not know (here the
+        retired "vector-jit") answers ERROR — a deterministic failure
+        the engine surfaces as a named lane error, not worker loss."""
+        snapshot, _ = sharded_monitor()
+        trace = list(workloads.background_traffic(SUBNETS, count=40, seed=4))
+        engine = ClusterEngine(workers=1, lane="vector")
+        engine.lane = "vector-jit"  # as an older coordinator would send
+        try:
+            with pytest.raises(DataPlaneError, match="unknown lane kind"):
+                engine.run(snapshot.build_network(), trace)
+        finally:
+            engine.close()
 
     def test_stale_cache_view_recovers_end_to_end(self):
         """Force the coordinator to believe a spec is cached that the

@@ -1,19 +1,14 @@
-"""Integration tests for the compiler pipeline and its scenarios (Table 4).
-
-These exercise the deprecated ``Compiler`` shim on purpose, so the
-repo-wide ``error:Compiler is deprecated`` filter (pytest.ini) is relaxed
-back to the default for this module only.
-"""
+"""Integration tests for the compiler pipeline and its scenarios (Table 4),
+driven through the one compile entry point, :class:`SnapController`."""
 
 import pytest
-
-pytestmark = pytest.mark.filterwarnings("default:Compiler is deprecated")
 
 from repro.apps.chimera import dns_tunnel_detect
 from repro.apps.fast import stateful_firewall
 from repro.apps.routing import assign_egress, default_subnets, port_assumption
-from repro.core.pipeline import SCENARIO_PHASES, Compiler
+from repro.core.controller import SnapController
 from repro.core.program import Program
+from repro.core.result import SCENARIO_PHASES
 from repro.lang import ast
 from repro.lang.packet import make_packet
 from repro.topology.campus import campus_topology
@@ -34,8 +29,8 @@ def campus_program(app_program=None, num_ports=6):
 
 @pytest.fixture(scope="module")
 def cold_result():
-    compiler = Compiler(campus_topology(), campus_program())
-    return compiler, compiler.cold_start()
+    controller = SnapController(campus_topology(), campus_program())
+    return controller, controller.submit()
 
 
 class TestColdStart:
@@ -70,40 +65,40 @@ class TestColdStart:
 
 class TestScenarios:
     def test_policy_change_phases(self):
-        compiler = Compiler(campus_topology(), campus_program())
-        compiler.cold_start()
-        result = compiler.policy_change(campus_program(stateful_firewall()))
+        controller = SnapController(campus_topology(), campus_program())
+        controller.submit()
+        result = controller.update_policy(campus_program(stateful_firewall()))
         assert result.scenario == "policy_change"
         assert "orphan" not in result.placement
         assert "established" in result.placement
 
     def test_topology_change_reuses_placement(self):
-        compiler = Compiler(campus_topology(), campus_program())
-        cold = compiler.cold_start()
-        result = compiler.topology_change()
+        controller = SnapController(campus_topology(), campus_program())
+        cold = controller.submit()
+        result = controller.reroute()
         assert result.placement == cold.placement
         assert set(result.timer.durations) == {"P5", "P6"}
 
     def test_topology_change_requires_cold_start(self):
-        compiler = Compiler(campus_topology(), campus_program())
+        controller = SnapController(campus_topology(), campus_program())
         with pytest.raises(RuntimeError):
-            compiler.topology_change()
+            controller.reroute()
 
     def test_link_failure_rerouting(self):
-        compiler = Compiler(campus_topology(), campus_program())
-        cold = compiler.cold_start()
+        controller = SnapController(campus_topology(), campus_program())
+        cold = controller.submit()
         assert cold.routing.path(1, 6) == ("I1", "C1", "C5", "D4")
         degraded = campus_topology().without_link("C1", "C5")
-        result = compiler.topology_change(new_topology=degraded)
+        result = controller.update_topology(degraded)
         path = result.routing.path(1, 6)
         assert ("C1", "C5") not in list(zip(path, path[1:]))
         assert path[0] == "I1" and path[-1] == "D4"
 
     def test_heuristic_mode(self):
-        compiler = Compiler(
-            campus_topology(), campus_program(), use_heuristic=True
+        controller = SnapController(
+            campus_topology(), campus_program(), solver="greedy"
         )
-        result = compiler.cold_start()
+        result = controller.submit()
         assert set(result.placement.values()) == {"D4"}
 
     def test_scenario_phase_sets_match_table4(self):
@@ -135,8 +130,8 @@ class TestEndToEndDnsTunnel:
         return packets
 
     def test_unused_responses_blacklist_client(self):
-        compiler = Compiler(campus_topology(), campus_program())
-        result = compiler.cold_start()
+        controller = SnapController(campus_topology(), campus_program())
+        result = controller.submit()
         net = result.build_network()
         for pkt, port in self._attack_packets(3):
             records = net.inject(pkt, port)
@@ -147,8 +142,8 @@ class TestEndToEndDnsTunnel:
         assert store.read("blacklist", (client,)) is True
 
     def test_used_responses_are_benign(self):
-        compiler = Compiler(campus_topology(), campus_program())
-        result = compiler.cold_start()
+        controller = SnapController(campus_topology(), campus_program())
+        result = controller.submit()
         net = result.build_network()
         ip = lambda s: IPPrefix(s).network
         client = ip("10.0.6.10")

@@ -9,8 +9,7 @@ from repro.apps.fast import stateful_firewall
 from repro.apps.routing import assign_egress, default_subnets, port_assumption
 from repro.core.controller import SnapController
 from repro.core.options import CompilerOptions
-from repro.core.pipeline import Compiler
-from repro.core.result import EVENT_SCENARIOS, SCENARIO_PHASES, Snapshot
+from repro.core.result import EVENT_SCENARIOS, SCENARIO_PHASES
 from repro.core.program import Program
 from repro.lang import ast
 from repro.lang.errors import SnapError
@@ -390,71 +389,3 @@ class TestOptions:
         assert controller.options == CompilerOptions(
             validate=False, solver_time_limit=30.0
         )
-
-
-class TestCompilerShim:
-    def test_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning):
-            compiler = Compiler(campus_topology(), campus_program())
-        assert isinstance(compiler.controller, SnapController)
-
-    def test_shim_equivalent_to_controller(self):
-        with pytest.warns(DeprecationWarning):
-            compiler = Compiler(campus_topology(), campus_program())
-        old = compiler.cold_start()
-        new = SnapController(campus_topology(), campus_program()).submit()
-        assert dict(old.placement) == dict(new.placement)
-        assert old.objective == pytest.approx(new.objective)
-        assert old.routing.path(1, 6) == new.routing.path(1, 6)
-        assert isinstance(old, Snapshot)
-
-    def test_shim_policy_change_works_as_first_compilation(self):
-        """Legacy Compiler.policy_change had no cold-start precondition."""
-        with pytest.warns(DeprecationWarning):
-            compiler = Compiler(campus_topology(), campus_program())
-        result = compiler.policy_change()
-        assert result.scenario == "policy_change"
-        assert result.generation == 0
-        assert "susp-client" in dict(result.placement)
-
-    def test_shim_keeps_legacy_attributes(self):
-        with pytest.warns(DeprecationWarning):
-            compiler = Compiler(
-                campus_topology(), campus_program(), solver_time_limit=60.0
-            )
-        assert compiler.validate is True
-        assert compiler.solver_time_limit == 60.0
-        assert compiler.mip_rel_gap is None
-        assert compiler.stateful_switches is None
-        assert compiler.use_heuristic is False
-        # Legacy mutation patterns: assign, then run a scenario.
-        compiler.cold_start()
-        compiler.program = campus_program(stateful_firewall())
-        result = compiler.policy_change()
-        assert "established" in dict(result.placement)
-        compiler.demands = {k: v * 0.5 for k, v in compiler.demands.items()}
-        compiler.demands[(1, 6)] *= 1.5  # legacy in-place mutation pattern
-        compiler.topology = campus_topology().without_link("C1", "C5")
-        rerouted = compiler.topology_change()
-        path = rerouted.routing.path(1, 6)
-        assert ("C1", "C5") not in set(zip(path, path[1:]))
-        assert rerouted.demands[(1, 6)] == compiler.demands[(1, 6)]
-
-    def test_shim_topology_change_maps_onto_events(self):
-        with pytest.warns(DeprecationWarning):
-            compiler = Compiler(campus_topology(), campus_program())
-        compiler.cold_start()
-        failed = compiler.topology_change(failed_links=[("C1", "C5")])
-        assert failed.event == "topology_change"
-        assert compiler._te_failed == {("C1", "C5")}
-        restored = compiler.topology_change(failed_links=[])
-        assert compiler._te_failed == set()
-        assert restored.routing.path(1, 6) == ("I1", "C1", "C5", "D4")
-        # The legacy no-failed-links demand change resets failures (old
-        # `wanted = failed_links or ()` semantics), unlike set_demands.
-        compiler.topology_change(failed_links=[("C1", "C5")])
-        shifted = compiler.topology_change(
-            new_demands={k: v * 2 for k, v in compiler.demands.items()}
-        )
-        assert compiler._te_failed == set()
-        assert shifted.routing.path(1, 6) == ("I1", "C1", "C5", "D4")

@@ -2,17 +2,17 @@
 
 Four load-bearing properties:
 
-* both vector tiers (interpreted and generated-kernel) are byte-identical
-  to the sequential engine — records, link counters, state stores — on
-  vectorizable, fork-heavy, droppy, and invalid-egress programs;
+* the vector tier is byte-identical to the sequential engine — records,
+  link counters, state stores — on vectorizable, fork-heavy, droppy, and
+  invalid-egress programs;
 * programs the tier cannot vectorize (PAUSE, STWRITE, state-test
   branches) fall back to the scalar lane — per group when the state
-  footprints are disjoint, whole-batch when a fallback row shares state
-  with vectorized rows (deferred deltas must not reorder around scalar
-  state reads);
-* generated kernels are cached by the execution-program token: a TE
-  rewire re-``exec``s **zero** kernel sources, a policy rebuild mints
-  fresh ones;
+  footprints are disjoint or share only commuting increments,
+  whole-batch when a fallback row shares any other state with
+  vectorized rows (deferred deltas must not reorder around scalar state
+  reads);
+* kernel plans are cached by the execution-program token: a TE rewire
+  re-plans **zero** kernels, a policy rebuild plans fresh ones;
 * without numpy the engines refuse cleanly and the lane factory
   degrades to the scalar lane.
 """
@@ -33,12 +33,7 @@ from repro.dataplane.engine import (
     make_lane,
     plan_for,
 )
-from repro.dataplane.vector import (
-    VectorEngine,
-    VectorJitEngine,
-    VectorLane,
-    kernel_cache_stats,
-)
+from repro.dataplane.vector import VectorEngine, VectorLane, kernel_cache_stats
 from repro.lang import ast, make_packet
 from repro.lang.errors import DataPlaneError
 from repro.topology.graph import Topology
@@ -57,7 +52,7 @@ from tests.test_engine import (
 
 pytest.importorskip("numpy")
 
-ENGINES = [VectorEngine(max_workers=2), VectorJitEngine(max_workers=2)]
+ENGINES = [VectorEngine(max_workers=2)]
 
 
 def stats_delta(before, key):
@@ -68,13 +63,13 @@ def stats_delta(before, key):
 
 
 class TestVectorEquivalence:
-    @pytest.mark.parametrize("engine", ENGINES, ids=["vector", "vector-jit"])
+    @pytest.mark.parametrize("engine", ENGINES, ids=["vector"])
     def test_sharded_monitor_background(self, engine):
         snapshot, program = sharded_monitor()
         trace = workloads.background_traffic(SUBNETS, count=300, seed=7)
         assert_engines_equivalent(snapshot, program, trace, sharded=engine)
 
-    @pytest.mark.parametrize("engine", ENGINES, ids=["vector", "vector-jit"])
+    @pytest.mark.parametrize("engine", ENGINES, ids=["vector"])
     def test_multicast_fork_ordering(self, engine):
         """FORK row duplication surfaces records in DFS emission order."""
         policy = ast.If(
@@ -95,7 +90,7 @@ class TestVectorEquivalence:
         ] + list(workloads.background_traffic(SUBNETS, count=120, seed=3))
         assert_engines_equivalent(snapshot, program, trace, sharded=engine)
 
-    @pytest.mark.parametrize("engine", ENGINES, ids=["vector", "vector-jit"])
+    @pytest.mark.parametrize("engine", ENGINES, ids=["vector"])
     def test_drops_and_invalid_egress(self, engine):
         """DROP retirement and emits to unknown ports keep the scalar
         lane's unstripped packets and ``egress=None`` records."""
@@ -168,7 +163,7 @@ def tiny_trace(count=120, seed=2):
 
 
 class TestScalarFallback:
-    @pytest.mark.parametrize("engine", ENGINES, ids=["vector", "vector-jit"])
+    @pytest.mark.parametrize("engine", ENGINES, ids=["vector"])
     def test_state_heavy_program_falls_back_whole_batch(self, engine):
         """dns-tunnel branches on state from every entry: nothing
         vectorizes, every lane runs the scalar path — byte-identically."""
@@ -270,28 +265,23 @@ class TestScalarFallback:
         scalar_results, scalar_links = _Lane(
             net_scalar, shard, list(batch)
         ).run()
-        for jit in (False, True):
-            before = kernel_cache_stats()
-            net = snapshot.build_network()
-            results, links = VectorLane(
-                net, shard, list(batch), jit=jit
-            ).run()
-            assert stats_delta(before, "kernel_calls") > 0  # port 1 rows
-            assert links == scalar_links
-            assert sorted(results) == sorted(scalar_results)
-            for index in results:
-                assert record_view(results[index]) == record_view(
-                    scalar_results[index]
-                )
-            assert net.global_store() == net_scalar.global_store()
+        before = kernel_cache_stats()
+        net = snapshot.build_network()
+        results, links = VectorLane(net, shard, list(batch)).run()
+        assert stats_delta(before, "kernel_calls") > 0  # port 1 rows
+        assert links == scalar_links
+        assert sorted(results) == sorted(scalar_results)
+        for index in results:
+            assert record_view(results[index]) == record_view(
+                scalar_results[index]
+            )
+        assert net.global_store() == net_scalar.global_store()
 
 
 class TestCommutativeFastPath:
-    """The opt-in commutative fast path (``commute_fastpath=True`` /
-    ``SNAP_VECTOR_COMMUTE=1``) keeps vector groups columnar when the
-    only state they share with fallback rows is increment-only and
-    never tested — exactly the footprint the effect analyzer proves
-    order-independent."""
+    """Vector groups stay columnar when the only state they share with
+    fallback rows is increment-only and never tested — exactly the
+    footprint the effect analyzer proves order-independent."""
 
     @staticmethod
     def _commuting_program():
@@ -324,28 +314,9 @@ class TestCommutativeFastPath:
             for i, (packet, _) in enumerate(tiny_trace(count=80))
         ]
 
-    def test_default_engine_still_demotes(self):
-        """Pins the conservative over-demotion: without the flag the
-        shared ``count`` forces the whole batch scalar even though its
-        updates commute."""
-        snapshot = self._commuting_program()
-        trace = self._trace()
-        for engine in ENGINES:
-            before = kernel_cache_stats()
-            engine.run(snapshot.build_network(), list(trace))
-            assert stats_delta(before, "kernel_calls") == 0
-
-    @pytest.mark.parametrize("jit", [False, True], ids=["vector", "vector-jit"])
-    def test_fastpath_vectorizes_and_matches_sequential(self, jit):
-        snapshot = self._commuting_program()
-        trace = self._trace()
+    def _assert_matches_sequential(self, snapshot, trace, engine):
         net_seq = snapshot.build_network()
         seq = SequentialEngine().run(net_seq, list(trace))
-        engine = (
-            VectorJitEngine(max_workers=2, commute_fastpath=True)
-            if jit
-            else VectorEngine(max_workers=2, commute_fastpath=True)
-        )
         before = kernel_cache_stats()
         net = snapshot.build_network()
         out = engine.run(net, list(trace))
@@ -356,15 +327,22 @@ class TestCommutativeFastPath:
         assert net.global_store() == net_seq.global_store()
         assert net.link_packets == net_seq.link_packets
 
-    def test_env_var_enables_fastpath(self, monkeypatch):
-        monkeypatch.setenv("SNAP_VECTOR_COMMUTE", "1")
-        assert VectorEngine(max_workers=1).commute_fastpath is True
-        monkeypatch.delenv("SNAP_VECTOR_COMMUTE")
-        assert VectorEngine(max_workers=1).commute_fastpath is False
+    @pytest.mark.parametrize("engine", ENGINES, ids=["vector"])
+    def test_fastpath_vectorizes_and_matches_sequential(self, engine):
+        self._assert_matches_sequential(
+            self._commuting_program(), self._trace(), engine
+        )
 
-    def test_tested_overlap_still_demotes_under_flag(self):
+    def test_default_engine_stays_columnar(self):
+        """A default-configured engine takes the commuting overlap
+        columnar too: there is no opt-in to forget."""
+        self._assert_matches_sequential(
+            self._commuting_program(), self._trace(), VectorEngine()
+        )
+
+    def test_tested_overlap_still_demotes(self):
         """A shared var that a fallback row *tests* is excluded from the
-        commutable set — the flag must not unlock it."""
+        commutable set, so the batch runs scalar."""
         subnets = default_subnets(3)
         policy = ast.Seq(
             ast.If(
@@ -392,7 +370,7 @@ class TestCommutativeFastPath:
         trace = self._trace()
         net_seq = snapshot.build_network()
         seq = SequentialEngine().run(net_seq, list(trace))
-        engine = VectorEngine(max_workers=2, commute_fastpath=True)
+        engine = VectorEngine(max_workers=2)
         before = kernel_cache_stats()
         net = snapshot.build_network()
         out = engine.run(net, list(trace))
@@ -408,13 +386,13 @@ class TestCommutativeFastPath:
 class TestKernelCache:
     def test_rewire_reexecs_nothing_rebuild_recompiles(self):
         """A TE rewire keeps the execution-program token — and with it
-        every generated kernel; a policy rebuild mints new ones."""
+        every planned kernel; a policy rebuild plans new ones."""
         from repro.topology.campus import campus_topology
 
         _, program = sharded_monitor()
         controller = SnapController(
             campus_topology(), program,
-            options=CompilerOptions(engine="vector-jit"),
+            options=CompilerOptions(engine="vector"),
         )
         controller.submit()
         try:
@@ -422,23 +400,22 @@ class TestKernelCache:
             trace = workloads.background_traffic(SUBNETS, count=80, seed=4)
             assert replay(trace, net_cold).sent == 80
             warm = kernel_cache_stats()
-            assert warm["compiles"] > 0 or warm["cache_hits"] > 0
+            assert warm["plans"] > 0 or warm["cache_hits"] > 0
 
             controller.fail_link("C1", "C5")  # TE rewire
             net_te = controller.network()
             assert net_te._exec_program_key == net_cold._exec_program_key
             before = kernel_cache_stats()
             assert replay(trace, net_te).sent == 80
-            assert stats_delta(before, "compiles") == 0  # zero re-exec
+            assert stats_delta(before, "plans") == 0  # zero re-plans
             assert stats_delta(before, "cache_hits") > 0  # warm kernels
-            assert stats_delta(before, "plans") == 0  # not even re-planned
 
             controller.update_policy(program)  # policy rebuild
             net_new = controller.network()
             assert net_new._exec_program_key != net_cold._exec_program_key
             before = kernel_cache_stats()
             assert replay(trace, net_new).sent == 80
-            assert stats_delta(before, "compiles") > 0  # fresh kernels
+            assert stats_delta(before, "plans") > 0  # fresh kernels
         finally:
             controller.close()
 
@@ -446,11 +423,10 @@ class TestKernelCache:
         snapshot, _ = sharded_monitor()
         network = snapshot.build_network()
         trace = list(workloads.background_traffic(SUBNETS, count=60, seed=9))
-        engine = get_engine("vector-jit")
+        engine = get_engine("vector")
         engine.run(network, trace)
         before = kernel_cache_stats()
         engine.run(network, trace)
-        assert stats_delta(before, "compiles") == 0
         assert stats_delta(before, "plans") == 0
         assert stats_delta(before, "cache_hits") > 0
 
@@ -469,7 +445,7 @@ class TestOptionalNumpy:
         snapshot, _ = sharded_monitor()
         network = snapshot.build_network()
         shard = plan_for(network).shards[0]
-        lane = vector.make_vector_lane("vector", network, shard, [])
+        lane = vector.make_vector_lane(network, shard, [])
         assert isinstance(lane, _Lane)
 
     def test_make_lane_kinds(self):
@@ -480,6 +456,6 @@ class TestOptionalNumpy:
         assert isinstance(
             make_lane("vector", network, shard, []), VectorLane
         )
-        assert make_lane("vector-jit", network, shard, []).jit is True
-        with pytest.raises(DataPlaneError, match="lane"):
-            make_lane("bogus", network, shard, [])
+        for unknown in ("bogus", "vector-jit"):
+            with pytest.raises(DataPlaneError, match="lane"):
+                make_lane(unknown, network, shard, [])

@@ -25,7 +25,6 @@ from repro.analysis.packet_state import (
     packet_state_mapping_paths,
 )
 from repro.core.controller import SnapController
-from repro.core.pipeline import Compiler
 from repro.core.program import Program
 from repro.lang import ast, make_packet
 from repro.lang.ast import state_variables
@@ -320,20 +319,16 @@ class TestInterleavedEvents:
 
 
 class TestShimSetters:
-    def test_program_setter_invalidates_standing_model(self):
-        with pytest.warns(DeprecationWarning):
-            shim = Compiler(campus_topology(), dns_tunnel_program(NUM_PORTS))
-        shim.cold_start()
-        shim.topology_change(failed_links=[("C1", "C5")])
-        assert shim._te_model is not None
-        shim.program = dns_tunnel_program(NUM_PORTS)
-        assert shim._te_model is None
+    """The setter contracts of the removed ``Compiler`` shim, held by the
+    controller's own session mutator."""
 
     def test_topology_setter_resets_failures(self):
-        with pytest.warns(DeprecationWarning):
-            shim = Compiler(campus_topology(), dns_tunnel_program(NUM_PORTS))
-        shim.cold_start()
-        shim.topology_change(failed_links=[("C1", "C5")])
-        shim.topology = campus_topology()
-        assert shim._te_failed == set()
-        assert shim._te_model is None
+        controller = SnapController(
+            campus_topology(), dns_tunnel_program(NUM_PORTS)
+        )
+        controller.submit()
+        controller.fail_link("C1", "C5")
+        assert controller._te_model is not None
+        controller.replace_topology(campus_topology())
+        assert controller.failed_links == frozenset()
+        assert controller._te_model is None
